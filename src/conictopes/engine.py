@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from conictopes.gf import Field
-from conictopes.grp import GroupId, _identify_from_stats
+from conictopes.grp import GroupId, identify
 from conictopes.perspectivity import involution_from_center, mat_mul, mat_vec
 from conictopes.plane import Plane
 
@@ -51,8 +51,6 @@ class PairData:
 
     elems: tuple          # element ids, identity first
     eset: frozenset
-    arr: np.ndarray       # same ids as int32 array
-    mask: np.ndarray      # boolean membership over the whole group
     order2: int           # order of the product of the two involutions
     side: frozenset       # centers (point ids) of the involutions inside
     side_sorted: tuple
@@ -81,7 +79,6 @@ class Engine:
         pts = self.plane.points
         self.n_points = len(pts)
         P = np.array(pts, dtype=np.int16)
-        self.pts_np = P
         mul = np.array(F.mul_t, dtype=np.int16)
         add = np.array(F.add_t, dtype=np.int16)
         neg = np.array(F.neg_t, dtype=np.int16)
@@ -99,6 +96,7 @@ class Engine:
         dot = add[add[mul[x0[:, None], x0[None, :]], mul[x1[:, None], x1[None, :]]],
                   mul[x2[:, None], x2[None, :]]]
         self.on_line = dot == 0
+        self.line_pts_l = [frozenset(np.nonzero(col)[0].tolist()) for col in self.on_line.T]
 
         c0 = sub[mul[x1[:, None], x2[None, :]], mul[x2[:, None], x1[None, :]]]
         c1 = sub[mul[x2[:, None], x0[None, :]], mul[x0[:, None], x2[None, :]]]
@@ -117,10 +115,7 @@ class Engine:
         tcount = self.on_line[:, tangent_ids].sum(axis=1)
         point_class = np.where(conic_mask, 0, np.where(tcount == 2, 1, 2))
         assert np.all((tcount[~conic_mask] == 2) | (tcount[~conic_mask] == 0))
-        self.point_class = point_class.astype(np.int8)
         self.off_conic_ids = np.nonzero(~conic_mask)[0]
-        ccount = self.on_line[self.conic_ids, :].sum(axis=0)
-        self.line_class = np.where(ccount == 1, 0, np.where(ccount == 2, 1, 2)).astype(np.int8)
         if q % 4 == 1:
             self.psl_point = point_class == 1
         else:
@@ -139,16 +134,19 @@ class Engine:
         F, q = self.field, self.q
         gens, gen_psl = conic_stabilizer_generators(F)
         ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+        order = q**3 - q
         elements = [ident]
         index = {ident: 0}
         parent = [0]
         gen_of = [0]
         non_psl = [False]
+        right = [None] * order  # right[x] = ids of x * g for the three generators
         frontier = [0]
         while frontier:
             new = []
             for xi in frontier:
                 x = elements[xi]
+                row = []
                 for gi, g in enumerate(gens):
                     y = mat_mul(F, x, g)
                     if y not in index:
@@ -158,8 +156,9 @@ class Engine:
                         gen_of.append(gi)
                         non_psl.append(non_psl[xi] ^ (not gen_psl[gi]))
                         new.append(index[y])
+                    row.append(index[y])
+                right[xi] = row
             frontier = new
-        order = q**3 - q
         assert len(elements) == order, (len(elements), order)
         self.elements = elements
         self.elt_index = index
@@ -167,10 +166,7 @@ class Engine:
         self.e_id = 0
         self.psl_elt = np.array([not b for b in non_psl], dtype=bool)
 
-        rg = np.empty((order, 3), dtype=np.int32)
-        for xi, x in enumerate(elements):
-            for gi, g in enumerate(gens):
-                rg[xi, gi] = index[mat_mul(F, x, g)]
+        rg = np.array(right, dtype=np.int32)
         mul_t = np.empty((order, order), dtype=np.int32)
         mul_t[:, 0] = np.arange(order)
         for y in range(1, order):
@@ -190,7 +186,6 @@ class Engine:
         assert ords.all()
         self.orders = ords
         self.mul_l = mul_t.tolist()
-        self.gen_ids = tuple(int(rg[0, gi]) for gi in range(3))
 
         gen_perms = []
         for g in gens:
@@ -209,7 +204,6 @@ class Engine:
         assert int((self.orders == 2).sum()) == self.q**2
         assert int((center_pt >= 0).sum()) == self.q**2
         self.inv_elt_of_point = inv_elt
-        self.center_pt_of_elt = center_pt
         self.inv_elt_l = inv_elt.tolist()
         self.center_pt_l = center_pt.tolist()
 
@@ -232,17 +226,11 @@ class Engine:
             r = mul[r][c]
         t = len(rots)
         elems = rots + [mul[r_][a] for r_ in rots]
-        eset = frozenset(elems)
-        arr = np.fromiter(eset, dtype=np.int32, count=len(eset))
-        arr.sort()
-        mask = np.zeros(self.n_group, dtype=bool)
-        mask[arr] = True
         centers = [self.center_pt_l[e] for e in elems if self.center_pt_l[e] >= 0]
         side = frozenset(centers)
-        data = PairData(elems=tuple(elems), eset=eset, arr=arr, mask=mask,
-                        order2=t, side=side, side_sorted=tuple(sorted(side)))
+        data = PairData(elems=tuple(elems), eset=frozenset(elems), order2=t,
+                        side=side, side_sorted=tuple(sorted(side)))
         self._pair_cache[key] = data
-        self._mask_cache[eset] = (arr, mask)
         return data
 
     def _arr_mask(self, s: frozenset):
@@ -308,81 +296,12 @@ class Engine:
         return order, int((ords == 2).sum()), int(ords.max())
 
     def identify_ids(self, ids) -> GroupId:
-        order, n_inv, max_ord = self.group_stats(ids)
-        elems = None if ids is None else [int(x) for x in ids]
-
-        def is_dihedral():
-            if elems is None:
-                return False
-            m = order // 2
-            mul = self.mul_l
-            h = next((e for e in elems if self.orders[e] == m), None)
-            if h is None:
-                return False
-            cyc = {0}
-            acc = h
-            while acc != 0:
-                cyc.add(acc)
-                acc = mul[acc][h]
-            if len(cyc) != m:
-                return False
-            h_inv = 0
-            for _ in range(m - 1):
-                h_inv = mul[h_inv][h]
-            for e in elems:
-                if e in cyc:
-                    continue
-                if self.orders[e] != 2 or mul[mul[e][h]][e] != h_inv:
-                    return False
-            return True
-
-        def c2xd():
-            if elems is None:
-                return False
-            mul = self.mul_l
-            for z in elems:
-                if self.orders[z] != 2:
-                    continue
-                if any(mul[z][g] != mul[g][z] for g in elems):
-                    continue
-                rep = {g: min(g, mul[g][z]) for g in elems}
-                classes = sorted(set(rep.values()))
-                cindex = {c: i for i, c in enumerate(classes)}
-                k = len(classes)
-                mq = [[cindex[rep[mul[a][b]]] for b in classes] for a in classes]
-                e_q = cindex[rep[0]]
-
-                def q_order(i):
-                    o, j = 1, i
-                    while j != e_q:
-                        j = mq[j][i]
-                        o += 1
-                    return o
-
-                q_orders = [q_order(i) for i in range(k)]
-                if k % 2:
-                    continue
-                m = k // 2
-                if m not in q_orders:
-                    continue
-                hi = q_orders.index(m)
-                cyc = {e_q}
-                j = hi
-                while j != e_q:
-                    cyc.add(j)
-                    j = mq[j][hi]
-                if len(cyc) != m:
-                    continue
-                hinv = e_q
-                for _ in range(m - 1):
-                    hinv = mq[hinv][hi]
-                if all(i in cyc or (q_orders[i] == 2 and mq[mq[i][hi]][i] == hinv)
-                       for i in range(k)):
-                    return True
-            return False
-
-        return _identify_from_stats(order, n_inv, max_ord, self.field.p,
-                                    self.field.n, is_dihedral, c2xd)
+        """grp.identify on element ids; None stands for the whole group."""
+        if ids is None:
+            ids = np.arange(self.n_group)
+        mul = self.mul_l
+        return identify(0, lambda x, y: mul[x][y], ids.tolist(),
+                        self.orders[ids].tolist(), self.field)
 
     def group_label(self, ids) -> str:
         order, n_inv, max_ord = self.group_stats(ids)

@@ -129,16 +129,23 @@ def _generic_closure(e, mul, seed):
     return frozenset(elems)
 
 
+def pair_subgroups(plane: Plane, gens) -> list:
+    """H_i = <a_j, a_k> for i = 0, 1, 2 as sets of canonical matrices.
+
+    Each is dihedral of order at most 2(q+1), so the closure cap only
+    guards against generators that are not involutions.
+    """
+    return [closure(plane.field, (gens[j], gens[k]), cap=8 * (plane.q + 2)).eset
+            for j, k in ((1, 2), (0, 2), (0, 1))]
+
+
 def check_hypertope_criteria(plane: Plane, a0: Involution, a1: Involution,
                              a2: Involution) -> CriteriaReport:
     """Decide thin / residually connected / flag-transitive from the H_i alone."""
     F = plane.field
     gens = (a0.matrix, a1.matrix, a2.matrix)
-    Hs = []
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        Hs.append(closure(F, (gens[j], gens[k]), cap=8 * (plane.q + 2)).eset)
-    return coset_criteria(IDENTITY, lambda x, y: mat_mul(F, x, y), gens, Hs)
+    return coset_criteria(IDENTITY, lambda x, y: mat_mul(F, x, y), gens,
+                          pair_subgroups(plane, gens))
 
 
 # -- the geometry itself ------------------------------------------------------

@@ -8,7 +8,8 @@ involutions: Klein four-groups, dihedral groups, the affine-line shapes,
 subfield PGL/PSL copies, and the sporadic A4, S4, A5.  Identification is
 decided by order first, then involution count, then maximal element order;
 anything that fits no entry is reported as Unknown with its statistics
-rather than guessed.
+rather than guessed.  The decision (identify) is generic over the element
+representation, so the engine's integer ids go through the same code.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def line_stabilizer(plane: Plane, H: ElementSet, line) -> ElementSet:
 class GroupId:
     """Isomorphism-type verdict with the statistics that decided it.
 
-    Tags: Klein4, Dihedral (order 2*m), C2xDihedral (order 4*m), SubAGL,
-    PSL / PGL (subfield parameter q0), A4, A5, S4, Unknown.
+    Tags: Klein4, Dihedral (order 2*m), SubAGL, PSL / PGL (subfield
+    parameter q0), A4, A5, S4, Unknown.
     """
 
     tag: str
@@ -152,7 +153,7 @@ class GroupId:
     def label(self) -> str:
         if self.tag in ("PGL", "PSL"):
             return f"{self.tag}(2,{self.q0})"
-        if self.tag in ("Dihedral", "C2xDihedral"):
+        if self.tag == "Dihedral":
             return f"{self.tag}({self.m})"
         return self.tag
 
@@ -209,106 +210,54 @@ def _verify_closed(field, H):
                 raise NotClosed("set is not closed under products")
 
 
-def _is_dihedral(order, orders_by_elem, elems, field):
-    """Dihedral of order 2m: a cyclic half plus involutions inverting it."""
-    if order % 2 != 0:
+def is_dihedral(e, mul, elems, orders) -> bool:
+    """Dihedral of order 2m: a cyclic half plus involutions inverting it.
+
+    Generic over the element representation, like coset_criteria: e is the
+    identity, mul a binary product and orders[i] the order of elems[i].
+    """
+    if len(elems) % 2:
         return False
-    m = order // 2
-    h = next((e for e, o in zip(elems, orders_by_elem) if o == m), None)
+    m = len(elems) // 2
+    h = next((x for x, o in zip(elems, orders) if o == m), None)
     if h is None:
         return False
-    cyc = {IDENTITY}
+    cyc = {e}
     acc = h
-    while acc != IDENTITY:
+    while acc != e:
         cyc.add(acc)
-        acc = mat_mul(field, acc, h)
+        acc = mul(acc, h)
     if len(cyc) != m:
         return False
-    h_inv = IDENTITY  # h^(m-1)
+    h_inv = e  # h^(m-1)
     for _ in range(m - 1):
-        h_inv = mat_mul(field, h_inv, h)
-    for e, o in zip(elems, orders_by_elem):
-        if e in cyc:
-            continue
-        if o != 2:
-            return False
-        if mat_mul(field, mat_mul(field, e, h), e) != h_inv:
-            return False
-    return True
+        h_inv = mul(h_inv, h)
+    return all(x in cyc or (o == 2 and mul(mul(x, h), x) == h_inv)
+               for x, o in zip(elems, orders))
 
 
-def _central_involutions(elems, orders_by_elem, field):
-    out = []
-    for z, o in zip(elems, orders_by_elem):
-        if o != 2:
-            continue
-        if all(mat_mul(field, z, g) == mat_mul(field, g, z) for g in elems):
-            out.append(z)
-    return out
+def identify(e, mul, elems, orders, field: Field) -> GroupId:
+    """Identify a closed subgroup from its elements and their orders.
 
-
-def _quotient_is_dihedral(elems, z, field):
-    """Test whether H / <z> is dihedral, for a central involution z."""
-    rep = {}
-    for g in elems:
-        gz = mat_mul(field, g, z)
-        key = min(g, gz)
-        rep[g] = key
-    classes = sorted(set(rep.values()))
-    cindex = {c: i for i, c in enumerate(classes)}
-    k = len(classes)
-    mul_q = [[0] * k for _ in range(k)]
-    for i, a in enumerate(classes):
-        for j, b in enumerate(classes):
-            mul_q[i][j] = cindex[rep[mat_mul(field, a, b)]]
-    e_q = cindex[rep[IDENTITY]]
-
-    def q_order(i):
-        o, j = 1, i
-        while j != e_q:
-            j = mul_q[j][i]
-            o += 1
-        return o
-
-    orders = [q_order(i) for i in range(k)]
-    if k % 2 != 0:
-        return False
-    m = k // 2
-    try:
-        hi = orders.index(m)
-    except ValueError:
-        return False
-    cyc = {e_q}
-    j = hi
-    while j != e_q:
-        cyc.add(j)
-        j = mul_q[j][hi]
-    if len(cyc) != m:
-        return False
-    hinv = e_q
-    for _ in range(m - 1):
-        hinv = mul_q[hinv][hi]
-    for i in range(k):
-        if i in cyc:
-            continue
-        if orders[i] != 2 or mul_q[mul_q[i][hi]][i] != hinv:
-            return False
-    return True
-
-
-def _identify_from_stats(order, n_inv, max_ord, p, n,
-                         is_dihedral_fn, c2xd_fn) -> GroupId:
-    """Shared identification decision: order, then involution count, then
-    maximal element order; structural probes only where stats are ambiguous."""
+    Generic over the element representation (see is_dihedral).  Decided by
+    order, then involution count, then maximal element order; the dihedral
+    structure test runs only where those statistics allow a dihedral group.
+    By Dickson's list of the subgroups of PGL(2,q), q odd, a subgroup
+    generated by involutions that has a central involution z lies in the
+    centralizer of z, which is dihedral, so no C2 x dihedral case exists.
+    """
+    order = len(elems)
+    n_inv = orders.count(2)
+    max_ord = max(orders)
+    p, n = field.p, field.n
     stats = dict(order=order, max_elt_order=max_ord, n_involutions=n_inv)
     if order == 1:
         return GroupId(tag="Unknown", **stats)
     if order == 4 and n_inv == 3:
         return GroupId(tag="Klein4", **stats)
-    if order % 2 == 0 and max_ord == max(order // 2, 2) and is_dihedral_fn():
+    if (order % 2 == 0 and max_ord == max(order // 2, 2)
+            and is_dihedral(e, mul, elems, orders)):
         return GroupId(tag="Dihedral", m=order // 2, **stats)
-    if order % 4 == 0 and order >= 8 and c2xd_fn():
-        return GroupId(tag="C2xDihedral", m=order // 4, **stats)
     pk = p
     while pk < order:
         if order == 2 * pk and n_inv == pk and max_ord == p:
@@ -336,19 +285,6 @@ def _identify_from_stats(order, n_inv, max_ord, p, n,
 def identify_group(H, field: Field) -> GroupId:
     """Match a closed element set against the possible generated-group types."""
     _verify_closed(field, H)
-    plane = _plane_for(field)
-    elems = list(_element_iter(H))
-    orders = _conic_perm_orders(H, plane)
-    order = len(elems)
-    n_inv = sum(1 for o in orders if o == 2)
-    max_ord = max(orders)
-
-    def is_dihedral():
-        return _is_dihedral(order, orders, elems, field)
-
-    def c2xd():
-        return any(_quotient_is_dihedral(elems, z, field)
-                   for z in _central_involutions(elems, orders, field))
-
-    return _identify_from_stats(order, n_inv, max_ord, field.p, field.n,
-                                is_dihedral, c2xd)
+    orders = _conic_perm_orders(H, _plane_for(field))
+    return identify(IDENTITY, lambda x, y: mat_mul(field, x, y),
+                    list(_element_iter(H)), orders, field)

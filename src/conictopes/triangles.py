@@ -35,13 +35,13 @@ reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations, islice
 
 from conictopes.engine import Engine, engine_for
-from conictopes.geom import CriteriaReport, coset_criteria
+from conictopes.geom import CriteriaReport, coset_criteria, pair_subgroups
 from conictopes.gf import Field
-from conictopes.grp import BudgetExceeded, GroupId, closure, identify_group
+from conictopes.grp import BudgetExceeded, ElementSet, GroupId, closure, identify_group
 from conictopes.perspectivity import (
     IDENTITY,
     Involution,
@@ -94,6 +94,7 @@ class TriangleRecord:
     hypertope: bool
     labels: dict                 # {(i, j): order of alpha_i * alpha_j}
     criteria: CriteriaReport
+    group: ElementSet = dc_field(repr=False)  # the closed <alpha_0, alpha_1, alpha_2>
 
     def describe(self) -> dict:
         return {
@@ -107,32 +108,40 @@ class TriangleRecord:
         }
 
 
-def snsp_witness(sides, commutes, pole_of_join, vertices, side_poles):
+def snsp_witness(sides, side_sets, conjugates, pole_of_join, vertices, side_poles):
     """First essential self-polar triangle across three different sides.
 
-    sides are three point collections, vertices the triangle's own centers,
-    side_poles the poles of the three side lines.  A hit with X on side a,
-    Y on side b and product center Z on side c only counts when Z is none
-    of vertex a, vertex b, pole(side line c): those products are the four
-    elements the flag-transitivity identity always admits.  The scan order
-    is fixed (assignment (2,0,1) first, then its rotations; points in
-    canonical order) so the witness is deterministic.  Returns None when
-    the triangle is strongly non self-polar.
+    Generic over the point representation: sides are the three sides in
+    canonical point order and side_sets the same as sets, conjugates(X) a
+    container of the points on the polar of X, pole_of_join(X, Y) the pole
+    of the line XY, vertices the triangle's own centers and side_poles the
+    poles of the three side lines.  A hit with X on side a, Y on side b and
+    Z = pole(XY) on side c only counts when Z is none of vertex a, vertex b,
+    pole(side line c): those products are the four elements the
+    flag-transitivity identity always admits.  Side points are off the
+    conic, so none is conjugate to itself and Z is never X or Y.  The scan
+    order is fixed (assignment (2,0,1) first, then its rotations) so the
+    witness is deterministic.  Returns None when the triangle is strongly
+    non self-polar.
     """
-    sides_sorted = [sorted(s) for s in sides]
-    sides_set = [set(s) for s in sides]
     for a, b, c in _SEARCH_ORDER:
         allowed = (vertices[a], vertices[b], side_poles[c])
-        for X in sides_sorted[a]:
-            for Y in sides_sorted[b]:
-                if Y == X or not commutes(X, Y):
-                    continue
-                Z = pole_of_join(X, Y)
-                if Z in allowed:
-                    continue
-                if Z != X and Z != Y and Z in sides_set[c]:
-                    return (X, Y, Z)
+        side_c = side_sets[c]
+        for X in sides[a]:
+            conj = conjugates(X)
+            for Y in sides[b]:
+                if Y in conj:
+                    Z = pole_of_join(X, Y)
+                    if Z not in allowed and Z in side_c:
+                        return (X, Y, Z)
     return None
+
+
+def _verdict_class(proper: bool, witness) -> str:
+    """Class of a triangle that is neither collinear nor self-polar."""
+    if proper:
+        return PROPER_SNSP if witness is None else PROPER_NOT_SNSP
+    return NON_PROPER_OK if witness is None else NON_PROPER_VIOLATING
 
 
 def _side_of(plane: Plane, subgroup_eset) -> frozenset:
@@ -160,10 +169,7 @@ def classify_triangle(plane: Plane, P, Q, R, closure_cap=200_000) -> TriangleRec
     for i in range(3):
         for j in range(i + 1, 3):
             labels[(i, j)] = product_order(F, invs[i], invs[j])
-    Hs = []
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        Hs.append(closure(F, (invs[j], invs[k]), cap=8 * (plane.q + 2)).eset)
+    Hs = pair_subgroups(plane, invs)
     sides = tuple(_side_of(plane, Hs[i]) for i in range(3))
     gens = tuple(a.matrix for a in invs)
     criteria = coset_criteria(IDENTITY, lambda x, y: mat_mul(F, x, y), gens, Hs)
@@ -180,24 +186,20 @@ def classify_triangle(plane: Plane, P, Q, R, closure_cap=200_000) -> TriangleRec
         side_lines = [plane.line_through(pts[1], pts[2]),
                       plane.line_through(pts[0], pts[2]),
                       plane.line_through(pts[0], pts[1])]
+        side_poles = tuple(plane.pole(l) for l in side_lines)
         witness = snsp_witness(
-            sides,
-            commutes=lambda X, Y: plane.incident(Y, plane.polar(X)),
+            tuple(sorted(s) for s in sides), sides,
+            conjugates=lambda X: set(plane.line_points(plane.polar(X))),
             pole_of_join=lambda X, Y: plane.pole(plane.line_through(X, Y)),
-            vertices=pts,
-            side_poles=tuple(plane.pole(l) for l in side_lines))
-        proper = all(plane.pole(side_lines[i]) != pts[i] for i in range(3))
-        if proper:
-            cls = PROPER_SNSP if witness is None else PROPER_NOT_SNSP
-        else:
-            cls = NON_PROPER_OK if witness is None else NON_PROPER_VIOLATING
+            vertices=pts, side_poles=side_poles)
+        cls = _verdict_class(all(side_poles[i] != pts[i] for i in range(3)), witness)
 
     H = closure(F, invs, cap=closure_cap)
     group_id = identify_group(H, F)
     return TriangleRecord(centers=pts, involutions=invs, sides=sides,
                           triangle_class=cls, witness=witness,
                           group_id=group_id, hypertope=criteria.hypertope,
-                          labels=labels, criteria=criteria)
+                          labels=labels, criteria=criteria, group=H)
 
 
 def not_psl_sufficient(plane: Plane, a0: Involution, a1: Involution,
@@ -337,85 +339,105 @@ class ClassificationTable:
         return "\n".join(lines) + "\n"
 
 
+def _id_class(eng: Engine, tri, pairs):
+    """Class and SNSP witness of an id triple, decided as classify_triangle does.
+
+    pairs are the cached subgroups (<a1, a2>, <a0, a2>, <a0, a1>).
+    """
+    c0, c1, c2 = tri
+    p12, p02, p01 = pairs
+    lt, pole = eng.lt_l, eng.pole_l
+    if eng.onl_l[c2][lt[c0][c1]]:
+        return COLLINEAR, None
+    if p12.order2 == 2 and p02.order2 == 2 and p01.order2 == 2:
+        return SELF_POLAR, tri
+    line_pts, polar = eng.line_pts_l, eng.polar_l
+    side_poles = (pole[lt[c1][c2]], pole[lt[c0][c2]], pole[lt[c0][c1]])
+    witness = snsp_witness(
+        (p12.side_sorted, p02.side_sorted, p01.side_sorted),
+        (p12.side, p02.side, p01.side),
+        conjugates=lambda X: line_pts[polar[X]],
+        pole_of_join=lambda X, Y: pole[lt[X][Y]],
+        vertices=tri, side_poles=side_poles)
+    proper = side_poles[0] != c0 and side_poles[1] != c1 and side_poles[2] != c2
+    return _verdict_class(proper, witness), witness
+
+
 def _sweep_triple(eng: Engine, tri):
     """Classify one id triple: returns (key, hypertope, snsp, collinear)."""
     c0, c1, c2 = tri
     p01 = eng.pair(c0, c1)
     p02 = eng.pair(c0, c2)
     p12 = eng.pair(c1, c2)
-    line01 = eng.lt_l[c0][c1]
-    collinear = eng.onl_l[c2][line01]
-
     gens = (eng.inv_elt_l[c0], eng.inv_elt_l[c1], eng.inv_elt_l[c2])
-    subgroups = (p12.eset, p02.eset, p01.eset)
     mul = eng.mul_l
-    criteria = coset_criteria(0, lambda x, y: mul[x][y], gens, subgroups,
+    criteria = coset_criteria(0, lambda x, y: mul[x][y], gens,
+                              (p12.eset, p02.eset, p01.eset),
                               sp_intersect=eng.sp_intersect)
-    hypertope = criteria.hypertope
-
-    self_polar = p01.order2 == 2 and p02.order2 == 2 and p12.order2 == 2
-    witness_found = False
-    if not collinear and not self_polar:
-        sides = (p12.side_sorted, p02.side_sorted, p01.side_sorted)
-        side_sets = (p12.side, p02.side, p01.side)
-        onl = eng.onl_l
-        polar = eng.polar_l
-        pole = eng.pole_l
-        lt = eng.lt_l
-        verts = (c0, c1, c2)
-        side_poles = (pole[lt[c1][c2]], pole[lt[c0][c2]], pole[line01])
-        for a, b, c in _SEARCH_ORDER:
-            allowed = (verts[a], verts[b], side_poles[c])
-            for X in sides[a]:
-                pX = polar[X]
-                for Y in sides[b]:
-                    if Y == X or not onl[Y][pX]:
-                        continue
-                    Z = pole[lt[X][Y]]
-                    if Z in allowed:
-                        continue
-                    if Z != X and Z != Y and Z in side_sets[c]:
-                        witness_found = True
-                        break
-                if witness_found:
-                    break
-            if witness_found:
-                break
-
-    if collinear:
-        cls = COLLINEAR
-    elif self_polar:
-        cls = SELF_POLAR
-    else:
-        proper = (eng.pole_l[eng.lt_l[c1][c2]] != c0
-                  and eng.pole_l[eng.lt_l[c0][c2]] != c1
-                  and eng.pole_l[line01] != c2)
-        if proper:
-            cls = PROPER_NOT_SNSP if witness_found else PROPER_SNSP
-        else:
-            cls = NON_PROPER_VIOLATING if witness_found else NON_PROPER_OK
-
+    cls, _ = _id_class(eng, tri, (p12, p02, p01))
     ids, _ = eng.closure_ids(p01.elems, gens)
     glabel = eng.group_label(ids)
     psl = "".join(sorted("P" if eng.psl_l[c] else "N" for c in tri))
-    snsp = (not collinear) and (not self_polar) and not witness_found
-    return (cls, glabel, psl, hypertope), hypertope, snsp, collinear
+    hypertope = criteria.hypertope
+    snsp = cls in (PROPER_SNSP, NON_PROPER_OK)
+    return (cls, glabel, psl, hypertope), hypertope, snsp, cls == COLLINEAR
+
+
+def _tally(eng: Engine, weighted):
+    """Counts, main-theorem violations and the first ten violating triples.
+
+    weighted yields (id triple, weight) pairs; a violation is a hypertope
+    verdict that disagrees with strong non self-polarity.
+    """
+    counts: dict = {}
+    violations = 0
+    samples = []
+    for tri, weight in weighted:
+        key, hyp, snsp, _ = _sweep_triple(eng, tri)
+        counts[key] = counts.get(key, 0) + weight
+        if hyp != snsp:
+            violations += weight
+            if len(samples) < 10:
+                samples.append([list(eng.plane.points[c]) for c in tri])
+    return counts, violations, samples
 
 
 def _sweep_chunk(field: Field, lo: int, hi: int):
     eng = engine_for(field)
     off = [int(x) for x in eng.off_conic_ids]
-    counts: dict = {}
-    violations = 0
-    samples = []
-    for tri in islice(combinations(off, 3), lo, hi):
-        key, hyp, snsp, collinear = _sweep_triple(eng, tri)
-        counts[key] = counts.get(key, 0) + 1
-        if hyp != ((not collinear) and snsp):
-            violations += 1
-            if len(samples) < 10:
-                samples.append([list(eng.plane.points[c]) for c in tri])
-    return counts, violations, samples, (hi - lo if hi is not None else None)
+    return _tally(eng, ((tri, 1) for tri in islice(combinations(off, 3), lo, hi)))
+
+
+def _orbit_reps(eng: Engine, off):
+    """(canonical representative, orbit size) for each conic-stabilizer orbit."""
+    perms = eng.gen_point_perms
+    visited = set()
+    for tri in combinations(off, 3):
+        if tri in visited:
+            continue
+        orbit = {tri}
+        stack = [tri]
+        while stack:
+            t = stack.pop()
+            for perm in perms:
+                img = tuple(sorted((perm[t[0]], perm[t[1]], perm[t[2]])))
+                if img not in orbit:
+                    orbit.add(img)
+                    stack.append(img)
+        visited |= orbit
+        yield min(orbit), len(orbit)
+
+
+def _sampled(off, total: int, sample: int, seed: int):
+    """Seeded draw of distinct triples, yielded in sweep order with weight 1."""
+    rng = random.Random(seed)
+    wanted = sorted(rng.sample(range(total), min(sample, total)))
+    it = enumerate(combinations(off, 3))
+    for want in wanted:
+        for idx, tri in it:
+            if idx == want:
+                yield tri, 1
+                break
 
 
 def enumerate_triples(field: Field, mode: str = "full", sample: int | None = None,
@@ -444,75 +466,32 @@ def enumerate_triples(field: Field, mode: str = "full", sample: int | None = Non
     eng = engine_for(field)
     off = [int(x) for x in eng.off_conic_ids]
 
-    counts: dict = {}
-    violations = 0
-    samples: list = []
-
-    def account(key, hyp, snsp, collinear, tri, weight=1):
-        nonlocal violations
-        counts[key] = counts.get(key, 0) + weight
-        if hyp != ((not collinear) and snsp):
-            violations += weight
-            if len(samples) < 10:
-                samples.append([list(eng.plane.points[c]) for c in tri])
-
     seed_out: int | None = None
     if mode == "full":
-        if jobs > 1:
-            chunks = _parallel_sweep(field, total, jobs)
-            for ccounts, cviol, csamp in chunks:
-                for k, v in ccounts.items():
-                    counts[k] = counts.get(k, 0) + v
-                violations += cviol
-                samples.extend(csamp[: max(0, 10 - len(samples))])
-            swept = total
-        else:
-            for tri in combinations(off, 3):
-                key, hyp, snsp, collinear = _sweep_triple(eng, tri)
-                account(key, hyp, snsp, collinear, tri)
-            swept = total
+        weighted = ((tri, 1) for tri in combinations(off, 3))
     elif mode == "orbit-reps":
-        perms = eng.gen_point_perms
-        visited = set()
-        swept = 0
-        for tri in combinations(off, 3):
-            if tri in visited:
-                continue
-            orbit = {tri}
-            stack = [tri]
-            while stack:
-                t = stack.pop()
-                for perm in perms:
-                    img = tuple(sorted((perm[t[0]], perm[t[1]], perm[t[2]])))
-                    if img not in orbit:
-                        orbit.add(img)
-                        stack.append(img)
-            visited |= orbit
-            rep = min(orbit)
-            key, hyp, snsp, collinear = _sweep_triple(eng, rep)
-            account(key, hyp, snsp, collinear, rep, weight=len(orbit))
-            swept += len(orbit)
+        weighted = _orbit_reps(eng, off)
     elif mode == "sample":
         if sample is None:
             raise ValueError("sample mode needs a sample size")
         seed_out = seed
-        rng = random.Random(seed)
-        wanted = sorted(rng.sample(range(total), min(sample, total)))
-        swept = 0
-        it = enumerate(combinations(off, 3))
-        for want in wanted:
-            for idx, tri in it:
-                if idx == want:
-                    key, hyp, snsp, collinear = _sweep_triple(eng, tri)
-                    account(key, hyp, snsp, collinear, tri)
-                    swept += 1
-                    break
+        weighted = _sampled(off, total, sample, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    if mode == "full" and jobs > 1:
+        parts = _parallel_sweep(field, total, jobs)
+    else:
+        parts = [_tally(eng, weighted)]
+    counts: dict = {}
+    for part_counts, _, _ in parts:
+        for k, v in part_counts.items():
+            counts[k] = counts.get(k, 0) + v
+    samples = [s for _, _, part_samples in parts for s in part_samples][:10]
     return ClassificationTable(p=field.p, n=field.n, q=field.q, mode=mode,
-                               seed=seed_out, total=swept, counts=counts,
-                               main_violations=violations,
+                               seed=seed_out, total=sum(counts.values()),
+                               counts=counts,
+                               main_violations=sum(v for _, v, _ in parts),
                                violation_samples=samples)
 
 
@@ -523,11 +502,12 @@ def _parallel_sweep(field: Field, total: int, jobs: int):
     bounds = [round(i * total / jobs) for i in range(jobs + 1)]
     args = [(field, bounds[i], bounds[i + 1]) for i in range(jobs)]
     with ctx.Pool(jobs) as pool:
-        out = pool.starmap(_sweep_chunk, args)
-    return [(c, v, s) for (c, v, s, _) in out]
+        return pool.starmap(_sweep_chunk, args)
 
 
 def verify_main(field: Field, mode: str = "full", sample: int | None = None,
-                seed: int = 0, jobs: int = 1) -> ClassificationTable:
+                seed: int = 0, jobs: int = 1,
+                budget: int = 20_000_000) -> ClassificationTable:
     """Sweep and report violations of: hypertope iff SNSP triangle."""
-    return enumerate_triples(field, mode=mode, sample=sample, seed=seed, jobs=jobs)
+    return enumerate_triples(field, mode=mode, sample=sample, seed=seed, jobs=jobs,
+                             budget=budget)

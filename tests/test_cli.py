@@ -77,6 +77,13 @@ def test_budget_exceeded_exit_3():
     assert code == 3
 
 
+def test_verify_main_budget_exit_3():
+    # C(25, 3) = 2300 triples at q = 5, over a budget of 100
+    code, out = run(["verify-main", "--p", "5", "--budget", "100"])
+    assert code == 3
+    assert out == ""
+
+
 def test_byte_identical_reports():
     args = ["enumerate", "--p", "3", "--n", "1", "--mode", "full"]
     _, out1 = run(args)

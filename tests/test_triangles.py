@@ -1,6 +1,7 @@
 """Triangle classification, constructions, and the sweep machinery."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from conictopes.triangles import (
     CollinearCenters,
     DegenerateInput,
     SearchExhausted,
+    _id_class,
     _sweep_triple,
     classify_triangle,
     construct_nonlinear_pgl,
@@ -209,6 +211,37 @@ def test_engine_matches_matrix_classification():
             assert key[1] == rec.group_id.label
             assert hyp == rec.hypertope
             assert snsp == (rec.triangle_class in (PROPER_SNSP, NON_PROPER_OK))
+
+
+def test_engine_witness_matches_matrix_witness_q5():
+    # the one SNSP scan, run on engine ids and on canonical points
+    F = field(5)
+    eng = engine_for(F)
+    pl = eng.plane
+    off = [int(x) for x in eng.off_conic_ids]
+    scanned = witnesses = 0
+    for tri in combinations(off, 3):
+        c0, c1, c2 = tri
+        cls, w = _id_class(eng, tri, (eng.pair(c1, c2), eng.pair(c0, c2),
+                                      eng.pair(c0, c1)))
+        if cls in (COLLINEAR, SELF_POLAR):
+            continue
+        rec = classify_triangle(pl, *(pl.points[c] for c in tri))
+        assert cls == rec.triangle_class
+        assert (None if w is None else tuple(pl.points[c] for c in w)) == rec.witness
+        scanned += 1
+        witnesses += w is not None
+    assert scanned == 1960
+    assert 0 < witnesses < scanned
+
+
+def test_orbit_rep_groups_are_dicksons_types():
+    # subgroups generated by three involutions: never C2 x dihedral, never Unknown
+    label = re.compile(r"Klein4|Dihedral\(\d+\)|SubAGL|P[SG]L\(2,\d+\)|A4|S4|A5")
+    for p, n in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1)):
+        table = enumerate_triples(field(p, n), mode="orbit-reps")
+        groups = {row["group"] for row in table.rows()}
+        assert all(label.fullmatch(g) for g in groups), groups
 
 
 def test_engine_psl_bookkeeping_matches_fixed_point_rule():
