@@ -3,9 +3,13 @@
 The enumeration core works on integer ids throughout: points and lines are
 indexed by their position in the lexicographic canonical order, group
 elements by discovery order of a breadth-first closure of the whole conic
-stabilizer.  A full Cayley table plus per-pair dihedral subgroup caches make
-a single triangle verdict a few hundred table lookups, which is what lets
-the full sweeps over all C(q^2, 3) triples finish in seconds.
+stabilizer.  numpy builds the tables once; the per-triple path then reads
+their Python-list forms, because a verdict touches a few hundred entries and
+array calls on arrays that small cost more than the lookups themselves.
+H_i & (H_j * H_k) is a loop over H_i that keeps g when h*g lies in H_k for
+some h in H_j, and the closure of <alpha_0, alpha_1, alpha_2> walks the
+right cosets of <alpha_0, alpha_1> (a Schreier graph on cosets) instead of
+single elements, with a coset table built once per generator pair.
 
 Everything here is an acceleration layer: the criteria evaluation is the
 same coset_criteria function the matrix path uses, handed table-backed
@@ -22,7 +26,7 @@ import numpy as np
 from conictopes.gf import Field
 from conictopes.grp import GroupId, identify
 from conictopes.perspectivity import involution_from_center, mat_mul, mat_vec
-from conictopes.plane import Plane
+from conictopes.plane import GeometryError, Plane
 
 MAX_ENGINE_Q = 13
 
@@ -69,8 +73,9 @@ class Engine:
         self._build_group_tables()
         self._build_involution_tables()
         self._pair_cache: dict[tuple[int, int], PairData] = {}
-        self._mask_cache: dict[frozenset, tuple[np.ndarray, np.ndarray]] = {}
         self._tag_cache: dict[tuple[int, int, int], str] = {}
+        # right cosets of the last subgroup closure_ids walked over
+        self._cosets: tuple | None = None
 
     # -- plane tables -------------------------------------------------------
 
@@ -83,50 +88,49 @@ class Engine:
         add = np.array(F.add_t, dtype=np.int16)
         neg = np.array(F.neg_t, dtype=np.int16)
         sub = add[np.arange(q)[:, None], neg[np.arange(q)][None, :]]  # a - b
-        self._mul_np, self._add_np, self._sub_np, self._neg_np = mul, add, sub, neg
 
         triple_id = np.full((q, q, q), -1, dtype=np.int32)
         for i, pt in enumerate(pts):
             for s in range(1, q):
                 ms = F.mul_t[s]
                 triple_id[ms[pt[0]], ms[pt[1]], ms[pt[2]]] = i
-        self.triple_id = triple_id
 
         x0, x1, x2 = P[:, 0], P[:, 1], P[:, 2]
         dot = add[add[mul[x0[:, None], x0[None, :]], mul[x1[:, None], x1[None, :]]],
                   mul[x2[:, None], x2[None, :]]]
-        self.on_line = dot == 0
-        self.line_pts_l = [frozenset(np.nonzero(col)[0].tolist()) for col in self.on_line.T]
+        on_line = dot == 0
+        self.line_pts_l = [frozenset(np.nonzero(col)[0].tolist()) for col in on_line.T]
 
         c0 = sub[mul[x1[:, None], x2[None, :]], mul[x2[:, None], x1[None, :]]]
         c1 = sub[mul[x2[:, None], x0[None, :]], mul[x0[:, None], x2[None, :]]]
         c2 = sub[mul[x0[:, None], x1[None, :]], mul[x1[:, None], x0[None, :]]]
-        self.line_through_id = triple_id[c0, c1, c2]  # -1 on the diagonal
+        line_through = triple_id[c0, c1, c2]  # -1 on the diagonal
 
         two = F.add(1, 1)
-        self.polar_of = triple_id[x2, neg[mul[two, x1]], x0]
+        polar_of = triple_id[x2, neg[mul[two, x1]], x0]
         half = F.inv_t[two]
-        self.pole_of = triple_id[x2, neg[mul[half, x1]], x0]
+        pole_of = triple_id[x2, neg[mul[half, x1]], x0]
 
         quad = sub[mul[x0, x2], mul[x1, x1]]
         conic_mask = quad == 0
-        self.conic_ids = np.nonzero(conic_mask)[0]
-        tangent_ids = self.polar_of[self.conic_ids]
-        tcount = self.on_line[:, tangent_ids].sum(axis=1)
+        tangent_ids = polar_of[np.nonzero(conic_mask)[0]]
+        tcount = on_line[:, tangent_ids].sum(axis=1)
         point_class = np.where(conic_mask, 0, np.where(tcount == 2, 1, 2))
-        assert np.all((tcount[~conic_mask] == 2) | (tcount[~conic_mask] == 0))
+        if not np.all((tcount[~conic_mask] == 2) | (tcount[~conic_mask] == 0)):
+            raise GeometryError("an off-conic point lies on neither 0 nor 2 tangents")
         self.off_conic_ids = np.nonzero(~conic_mask)[0]
-        if q % 4 == 1:
-            self.psl_point = point_class == 1
-        else:
-            self.psl_point = point_class == 2
+        psl_point = point_class == (1 if q % 4 == 1 else 2)
 
-        # python-list mirrors for the scalar-heavy inner loops
-        self.lt_l = self.line_through_id.tolist()
-        self.polar_l = self.polar_of.tolist()
-        self.pole_l = self.pole_of.tolist()
-        self.onl_l = self.on_line.tolist()
-        self.psl_l = self.psl_point.tolist()
+        # the per-triple path reads these Python-list forms
+        self.lt_l = line_through.tolist()
+        self.polar_l = polar_of.tolist()
+        self.pole_l = pole_of.tolist()
+        self.onl_l = on_line.tolist()
+        self.psl_l = psl_point.tolist()
+
+        gens, _ = conic_stabilizer_generators(F)
+        self.gen_point_perms = [[int(triple_id[mat_vec(F, g, pt)]) for pt in pts]
+                                for g in gens]
 
     # -- group tables ---------------------------------------------------------
 
@@ -159,7 +163,9 @@ class Engine:
                     row.append(index[y])
                 right[xi] = row
             frontier = new
-        assert len(elements) == order, (len(elements), order)
+        if len(elements) != order:
+            raise GeometryError(f"the generators give {len(elements)} elements, "
+                                f"not |PGL(2,{q})| = {order}")
         self.elements = elements
         self.elt_index = index
         self.n_group = order
@@ -171,8 +177,6 @@ class Engine:
         mul_t[:, 0] = np.arange(order)
         for y in range(1, order):
             mul_t[:, y] = rg[mul_t[:, parent[y]], gen_of[y]]
-        self.mul_np = mul_t
-        self.inv_np = np.argmax(mul_t == 0, axis=1).astype(np.int32)
 
         acc = np.arange(order)
         ords = np.zeros(order, dtype=np.int16)
@@ -183,15 +187,11 @@ class Engine:
             if ords.all():
                 break
             acc = mul_t[acc, base]
-        assert ords.all()
-        self.orders = ords
-        self.mul_l = mul_t.tolist()
-
-        gen_perms = []
-        for g in gens:
-            imgs = [int(self.triple_id[mat_vec(F, g, pt)]) for pt in self.plane.points]
-            gen_perms.append(imgs)
-        self.gen_point_perms = gen_perms
+        if not ords.all():
+            raise GeometryError(f"an element of PGL(2,{q}) has order above {q + 1}")
+        self.orders_l = ords.tolist()
+        # the rows share one int object per id instead of holding |G|^2 ints
+        self.mul_l = np.array(range(order), dtype=object)[mul_t].tolist()
 
     def _build_involution_tables(self):
         inv_elt = np.full(self.n_points, -1, dtype=np.int32)
@@ -201,8 +201,10 @@ class Engine:
             eid = self.elt_index[a.matrix]
             inv_elt[pid] = eid
             center_pt[eid] = pid
-        assert int((self.orders == 2).sum()) == self.q**2
-        assert int((center_pt >= 0).sum()) == self.q**2
+        if self.orders_l.count(2) != self.q**2:
+            raise GeometryError(f"PGL(2,{self.q}) must have q^2 involutions")
+        if int((center_pt >= 0).sum()) != self.q**2:
+            raise GeometryError("off-conic points and involutions must correspond")
         self.inv_elt_of_point = inv_elt
         self.inv_elt_l = inv_elt.tolist()
         self.center_pt_l = center_pt.tolist()
@@ -233,75 +235,87 @@ class Engine:
         self._pair_cache[key] = data
         return data
 
-    def _arr_mask(self, s: frozenset):
-        got = self._mask_cache.get(s)
-        if got is not None:
-            return got
-        arr = np.fromiter(s, dtype=np.int32, count=len(s))
-        arr.sort()
-        mask = np.zeros(self.n_group, dtype=bool)
-        mask[arr] = True
-        self._mask_cache[s] = (arr, mask)
-        return arr, mask
-
     def sp_intersect(self, Hj: frozenset, Hk: frozenset, Hi: frozenset):
-        """H_i & (H_j * H_k) via one vectorized product table lookup."""
-        arr_j, _ = self._arr_mask(Hj)
-        arr_i, _ = self._arr_mask(Hi)
-        _, mask_k = self._arr_mask(Hk)
-        # g in H_i lies in H_j*H_k iff inv(h)*g lands in H_k for some h in H_j
-        inv_j = self.inv_np[arr_j]
-        prods = self.mul_np[np.ix_(inv_j, arr_i)]
-        hits = mask_k[prods].any(axis=0)
-        return [int(x) for x in arr_i[hits]]
+        """H_i & (H_j * H_k), in the iteration order of H_i.
+
+        g = h*k with h in H_j and k in H_k iff h^-1 * g lies in H_k, and H_j
+        is closed under inverses, so g is kept when h * g lies in H_k for
+        some h in H_j.
+        """
+        rows = [self.mul_l[h] for h in Hj]
+        out = []
+        for g in Hi:
+            for row in rows:
+                if row[g] in Hk:
+                    out.append(g)
+                    break
+        return out
 
     # -- closures and identification -------------------------------------------
 
-    def closure_ids(self, seed, gens):
-        """Closure <gens> seeded with known members, with a Lagrange early-out.
+    def _right_cosets(self, sub: tuple):
+        """(coset id of each element, members of each coset) for the cosets sub*g.
 
-        seed must be contained in the generated subgroup.  Once more than
-        half the full group is seen the subgroup is the whole group and
-        None is returned in place of the id array.
+        Coset 0 is sub itself.  One slot caches the last subgroup asked for:
+        a sweep in combinations order asks for the same <alpha_0, alpha_1>
+        for every third point in a row.
         """
-        mul = self.mul_np
-        seen = np.zeros(self.n_group, dtype=bool)
-        gens = np.unique(np.asarray(list(gens), dtype=np.int32))
-        seen[np.asarray(list(seed), dtype=np.int32)] = True
-        seen[gens] = True
-        seen[0] = True
-        count = int(seen.sum())
-        frontier = np.nonzero(seen)[0].astype(np.int32)
+        slot = self._cosets
+        if slot is not None and slot[0] == sub:
+            return slot[1], slot[2]
+        mul = self.mul_l
+        coset_of = [-1] * self.n_group
+        cosets = []
+        for g in range(self.n_group):
+            if coset_of[g] < 0:
+                members = [mul[h][g] for h in sub]
+                for x in members:
+                    coset_of[x] = len(cosets)
+                cosets.append(members)
+        self._cosets = (sub, coset_of, cosets)
+        return coset_of, cosets
+
+    def closure_ids(self, seed, gens):
+        """Closure <gens> as a union of right cosets of seed, with a Lagrange early-out.
+
+        seed is a subgroup (a tuple of ids) contained in the generated
+        subgroup.  Cosets seed*x are reached from seed itself by right
+        multiplication with the generators; once more than half the full
+        group is covered the subgroup is the whole group and None is
+        returned in place of the sorted id list.
+        """
+        coset_of, cosets = self._right_cosets(seed)
+        mul = self.mul_l
+        size = len(seed)
         half = self.n_group // 2
-        while frontier.size:
-            prods = mul[np.ix_(frontier, gens)].ravel()
-            fresh = prods[~seen[prods]]
-            if fresh.size == 0:
-                break
-            fresh = np.unique(fresh)
-            seen[fresh] = True
-            count += fresh.size
-            if count > half:
-                return None, self.n_group  # the whole group
-            frontier = fresh
-        return np.nonzero(seen)[0], count
+        seen = {0}
+        reps = [0]
+        count = size
+        for x in reps:
+            row = mul[x]
+            for g in gens:
+                y = row[g]
+                c = coset_of[y]
+                if c not in seen:
+                    count += size
+                    if count > half:
+                        return None, self.n_group  # the whole group
+                    seen.add(c)
+                    reps.append(y)
+        return sorted(x for c in seen for x in cosets[c]), count
 
     def group_stats(self, ids):
-        if ids is None:
-            ords = self.orders
-            order = self.n_group
-        else:
-            ords = self.orders[ids]
-            order = len(ids)
-        return order, int((ords == 2).sum()), int(ords.max())
+        """(order, number of involutions, largest element order); None is the whole group."""
+        ords = self.orders_l if ids is None else [self.orders_l[x] for x in ids]
+        return len(ords), ords.count(2), max(ords)
 
     def identify_ids(self, ids) -> GroupId:
         """grp.identify on element ids; None stands for the whole group."""
         if ids is None:
-            ids = np.arange(self.n_group)
+            ids = list(range(self.n_group))
         mul = self.mul_l
-        return identify(0, lambda x, y: mul[x][y], ids.tolist(),
-                        self.orders[ids].tolist(), self.field)
+        return identify(0, lambda x, y: mul[x][y], ids,
+                        [self.orders_l[x] for x in ids], self.field)
 
     def group_label(self, ids) -> str:
         order, n_inv, max_ord = self.group_stats(ids)

@@ -32,6 +32,14 @@ class CoincidentPoints(ValueError):
     """line_through needs two distinct points."""
 
 
+class NotOnConic(ValueError):
+    """tangent_at needs a point of the conic."""
+
+
+class GeometryError(RuntimeError):
+    """A count that the geometry of PG(2,q), q odd, fixes came out otherwise."""
+
+
 class Plane:
     """PG(2,q) over a Field, with the conic x0*x2 = x1^2 and its polarity."""
 
@@ -117,7 +125,8 @@ class Plane:
             mt = mul[t]
             w = (add(mt[v1[0]], v2[0]), add(mt[v1[1]], v2[1]), add(mt[v1[2]], v2[2]))
             pts.append(self.normalize(w))
-        assert len(set(pts)) == self.q + 1
+        if len(set(pts)) != self.q + 1:
+            raise GeometryError(f"line {line} does not have q+1 distinct points")
         return pts
 
     def lines_through(self, point) -> list[tuple[int, int, int]]:
@@ -147,7 +156,8 @@ class Plane:
         F = self.field
         pts = [(0, 0, 1)] + [(1, t, F.mul_t[t][t]) for t in range(self.q)]
         pts = sorted(self.normalize(p) for p in pts)
-        assert len(pts) == self.q + 1
+        if len(pts) != self.q + 1:
+            raise GeometryError("the conic does not have q+1 points")
         return pts
 
     def polar(self, P) -> tuple[int, int, int]:
@@ -161,7 +171,8 @@ class Plane:
         return self.normalize((line[2], F.neg(F.mul_t[half][line[1]]), line[0]))
 
     def tangent_at(self, A) -> tuple[int, int, int]:
-        assert self.on_conic(A)
+        if not self.on_conic(A):
+            raise NotOnConic(f"{A} is not on the conic")
         return self.polar(A)
 
     @cached_property
@@ -176,7 +187,8 @@ class Plane:
             return TANGENT
         if hits == 2:
             return SECANT
-        assert hits == 0
+        if hits:
+            raise GeometryError(f"line {line} meets the conic in {hits} points")
         return EXTERIOR_LINE
 
     def classify_point(self, P) -> str:
@@ -186,7 +198,8 @@ class Plane:
         hits = sum(1 for t in self.tangent_lines if self.incident(P, t))
         if hits == 2:
             return EXTERIOR
-        assert hits == 0, f"point {P} lies on {hits} tangents"
+        if hits:
+            raise GeometryError(f"point {P} lies on {hits} tangents")
         return INTERIOR
 
     @cached_property

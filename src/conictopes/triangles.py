@@ -35,8 +35,9 @@ reproducible.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 from conictopes.engine import Engine, engine_for
 from conictopes.geom import CriteriaReport, coset_criteria, pair_subgroups
@@ -405,39 +406,90 @@ def _tally(eng: Engine, weighted):
 def _sweep_chunk(field: Field, lo: int, hi: int):
     eng = engine_for(field)
     off = [int(x) for x in eng.off_conic_ids]
-    return _tally(eng, ((tri, 1) for tri in islice(combinations(off, 3), lo, hi)))
+    return _tally(eng, ((tri, 1) for tri in _triple_range(off, lo, hi)))
+
+
+def _binomials(n: int):
+    """C(i, 2) and C(i, 3) for i = 0..n, the terms of the colex rank of a triple."""
+    return ([i * (i - 1) // 2 for i in range(n + 1)],
+            [i * (i - 1) * (i - 2) // 6 for i in range(n + 1)])
+
+
+def _unrank(n: int, idx: int, b2, b3):
+    """Positions (a, b, c) of the idx-th triple of combinations(range(n), 3).
+
+    Mapping i to n-1-i turns lexicographic order into reverse colex order,
+    and the colex rank of x < y < z is x + C(y, 2) + C(z, 3), so each
+    position is found by bisection on the binomials.
+    """
+    r = b3[n] - 1 - idx
+    z = bisect_right(b3, r) - 1
+    r -= b3[z]
+    y = bisect_right(b2, r) - 1
+    return n - 1 - z, n - 1 - y, n - 1 - (r - b2[y])
+
+
+def _triple_range(off, lo: int, hi: int):
+    """islice(combinations(off, 3), lo, hi), starting at triple lo directly."""
+    n = len(off)
+    b2, b3 = _binomials(n)
+    if lo >= min(hi, b3[n]):
+        return iter(())
+    a, b, c = _unrank(n, lo, b2, b3)
+    x, y = off[a], off[b]
+    rest = chain(((x, y, z) for z in off[c:]),
+                 ((x,) + pair for pair in combinations(off[b + 1:], 2)),
+                 combinations(off[a + 1:], 3))
+    return islice(rest, hi - lo)
+
+
+def _orbit(perms, tri) -> set:
+    """Sorted id triples in the orbit of tri under the generators' point permutations."""
+    orbit = {tri}
+    stack = [tri]
+    while stack:
+        t = stack.pop()
+        for perm in perms:
+            img = tuple(sorted((perm[t[0]], perm[t[1]], perm[t[2]])))
+            if img not in orbit:
+                orbit.add(img)
+                stack.append(img)
+    return orbit
 
 
 def _orbit_reps(eng: Engine, off):
-    """(canonical representative, orbit size) for each conic-stabilizer orbit."""
+    """(canonical representative, orbit size) for each conic-stabilizer orbit.
+
+    Visited triples are one byte each, indexed by the colex rank of their
+    positions in off.
+    """
     perms = eng.gen_point_perms
-    visited = set()
-    for tri in combinations(off, 3):
-        if tri in visited:
-            continue
-        orbit = {tri}
-        stack = [tri]
-        while stack:
-            t = stack.pop()
-            for perm in perms:
-                img = tuple(sorted((perm[t[0]], perm[t[1]], perm[t[2]])))
-                if img not in orbit:
-                    orbit.add(img)
-                    stack.append(img)
-        visited |= orbit
-        yield min(orbit), len(orbit)
+    n = len(off)
+    b2, b3 = _binomials(n)
+    pos = [0] * eng.n_points
+    for i, c in enumerate(off):
+        pos[c] = i
+    visited = bytearray(b3[n])
+    for a in range(n):
+        for b in range(a + 1, n):
+            ab = a + b2[b]
+            for c in range(b + 1, n):
+                if visited[ab + b3[c]]:
+                    continue
+                orbit = _orbit(perms, (off[a], off[b], off[c]))
+                for t in orbit:
+                    visited[pos[t[0]] + b2[pos[t[1]]] + b3[pos[t[2]]]] = 1
+                yield min(orbit), len(orbit)
 
 
 def _sampled(off, total: int, sample: int, seed: int):
     """Seeded draw of distinct triples, yielded in sweep order with weight 1."""
     rng = random.Random(seed)
     wanted = sorted(rng.sample(range(total), min(sample, total)))
-    it = enumerate(combinations(off, 3))
+    b2, b3 = _binomials(len(off))
     for want in wanted:
-        for idx, tri in it:
-            if idx == want:
-                yield tri, 1
-                break
+        a, b, c = _unrank(len(off), want, b2, b3)
+        yield (off[a], off[b], off[c]), 1
 
 
 def enumerate_triples(field: Field, mode: str = "full", sample: int | None = None,

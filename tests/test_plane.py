@@ -14,6 +14,7 @@ from conictopes.plane import (
     SECANT,
     TANGENT,
     CoincidentPoints,
+    NotOnConic,
     Plane,
 )
 
@@ -185,3 +186,11 @@ def test_tangent_count_histogram_q7():
             assert hits == 0
         else:
             assert hits == 1  # the tangent at the point itself
+
+
+def test_tangent_at_rejects_points_off_the_conic():
+    pl = plane(5)
+    A = pl.conic_points[0]
+    assert pl.tangent_at(A) == pl.polar(A)
+    with pytest.raises(NotOnConic):
+        pl.tangent_at(pl.off_conic_points[0])

@@ -23,7 +23,9 @@ from conictopes.triangles import (
     DegenerateInput,
     SearchExhausted,
     _id_class,
+    _sampled,
     _sweep_triple,
+    _triple_range,
     classify_triangle,
     construct_nonlinear_pgl,
     construct_tangent_triangle,
@@ -316,3 +318,18 @@ def test_record_describe_shape():
     assert set(d) >= {"centers", "class", "witness", "group", "hypertope",
                       "labels", "sides"}
     assert d["labels"] == {"01": 5, "02": 5, "12": 5}
+
+
+def test_unranked_triples_match_the_linear_walk_q5():
+    eng = engine_for(field(5))
+    off = [int(x) for x in eng.off_conic_ids]
+    every = list(combinations(off, 3))
+    total = len(every)
+    for seed in (0, 1, 5, 2024):
+        # the draw sample mode makes, walked to the wanted indices
+        wanted = sorted(random.Random(seed).sample(range(total), 40))
+        assert [tri for tri, _ in _sampled(off, total, 40, seed)] == [every[i] for i in wanted]
+    bounds = [round(i * total / 3) for i in range(4)]  # the chunks of jobs=3
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert list(_triple_range(off, lo, hi)) == every[lo:hi]
+    assert list(_triple_range(off, total, total + 1)) == []
