@@ -101,6 +101,13 @@ def write_report(data: bytes, out: str | None):
         raise
 
 
+def _check_numeric_flags(args):
+    if args.sample is not None and args.sample < 0:
+        raise ParseError(f"--sample must be >= 0, got {args.sample}")
+    if args.budget < 1:
+        raise ParseError(f"--budget must be >= 1, got {args.budget}")
+
+
 def _field_from_args(args) -> Field:
     modulus = None
     if args.modulus:
@@ -318,6 +325,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numeric_flags(args)
         field = _field_from_args(args)
         result, code = _COMMANDS[args.command](args, field)
         data = emit_report(result, args.format)

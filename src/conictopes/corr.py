@@ -138,7 +138,8 @@ def correlation_witness(plane: Plane, H: ElementSet, gens, sigma,
     space; absence of a witness is reported as just that.
     """
     field = plane.field
-    assert all(isinstance(g, Involution) for g in gens)
+    if not all(isinstance(g, Involution) for g in gens):
+        raise TypeError("the generators must be Involution objects")
     sigma = tuple(sigma)
     target_centers = tuple(gens[sigma[i]].center for i in range(3))
     target_mats = tuple(gens[sigma[i]].matrix for i in range(3))

@@ -3,9 +3,12 @@
 The enumeration core works on integer ids throughout: points and lines are
 indexed by their position in the lexicographic canonical order, group
 elements by discovery order of a breadth-first closure of the whole conic
-stabilizer.  numpy builds the tables once; the per-triple path then reads
-their Python-list forms, because a verdict touches a few hundred entries and
-array calls on arrays that small cost more than the lookups themselves.
+stabilizer.  Each table is built once, as the Python list the per-triple
+path reads: a verdict touches a few hundred entries, so plain indexing is
+the fast form.  The line through two points comes from one cross product,
+and incidence is read off those lines.  The Cayley table is read off the
+breadth-first (Schreier) tree: row x is row parent(x) permuted by a
+generator's left multiplication.
 H_i & (H_j * H_k) is a loop over H_i that keeps g when h*g lies in H_k for
 some h in H_j, and the closure of <alpha_0, alpha_1, alpha_2> walks the
 right cosets of <alpha_0, alpha_1> (a Schreier graph on cosets) instead of
@@ -20,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from operator import itemgetter
 
 from conictopes.gf import Field
 from conictopes.grp import GroupId, identify
@@ -35,9 +37,7 @@ def conic_stabilizer_generators(field: Field):
     """Three canonical matrices generating the conic stabilizer.
 
     Images of the conic parameter t are t+1, lambda*t and 1/t for a
-    primitive lambda, which generate the whole group.  Returned with each
-    generator's PSL membership (lambda is a non-square; the parity of the
-    swap depends on whether -1 is a square).
+    primitive lambda, which generate the whole group.
     """
     lam = field.generator
     lam2 = field.mul(lam, lam)
@@ -45,8 +45,7 @@ def conic_stabilizer_generators(field: Field):
     t = (1, 0, 0, 1, 1, 0, 1, two, 1)
     d = (1, 0, 0, 0, lam, 0, 0, 0, lam2)
     s = (0, 0, 1, 0, 1, 0, 1, 0, 0)
-    psl_flags = (True, False, field.q % 4 == 1)
-    return (t, d, s), psl_flags
+    return t, d, s
 
 
 @dataclass(frozen=True)
@@ -80,70 +79,66 @@ class Engine:
     # -- plane tables -------------------------------------------------------
 
     def _build_point_tables(self):
-        F, q = self.field, self.q
-        pts = self.plane.points
-        self.n_points = len(pts)
-        P = np.array(pts, dtype=np.int16)
-        mul = np.array(F.mul_t, dtype=np.int16)
-        add = np.array(F.add_t, dtype=np.int16)
-        neg = np.array(F.neg_t, dtype=np.int16)
-        sub = add[np.arange(q)[:, None], neg[np.arange(q)][None, :]]  # a - b
+        F, pl = self.field, self.plane
+        pts = pl.points
+        index = pl.point_index
+        norm = pl.normalize
+        n = self.n_points = len(pts)
+        mul, add, neg = F.mul_t, F.add_t, F.neg_t
 
-        triple_id = np.full((q, q, q), -1, dtype=np.int32)
-        for i, pt in enumerate(pts):
-            for s in range(1, q):
-                ms = F.mul_t[s]
-                triple_id[ms[pt[0]], ms[pt[1]], ms[pt[2]]] = i
+        # lt[i][j]: the line P_i x P_j (-1 on the diagonal); both points lie on it
+        lt = [[-1] * n for _ in range(n)]
+        onl = [[False] * n for _ in range(n)]
+        for i, (a0, a1, a2) in enumerate(pts):
+            m0, m1, m2 = mul[a0], mul[a1], mul[a2]
+            lt_i, onl_i = lt[i], onl[i]
+            for j in range(i + 1, n):
+                b0, b1, b2 = pts[j]
+                lid = index[norm((add[m1[b2]][neg[m2[b1]]],
+                                  add[m2[b0]][neg[m0[b2]]],
+                                  add[m0[b1]][neg[m1[b0]]]))]
+                lt_i[j] = lt[j][i] = lid
+                onl_i[lid] = onl[j][lid] = True
+        self.lt_l = lt
+        self.onl_l = onl
+        self.line_pts_l = [frozenset(i for i, row in enumerate(onl) if row[l])
+                           for l in range(n)]
+        self.polar_l = [index[pl.polar(P)] for P in pts]
+        self.pole_l = [index[pl.pole(P)] for P in pts]
 
-        x0, x1, x2 = P[:, 0], P[:, 1], P[:, 2]
-        dot = add[add[mul[x0[:, None], x0[None, :]], mul[x1[:, None], x1[None, :]]],
-                  mul[x2[:, None], x2[None, :]]]
-        on_line = dot == 0
-        self.line_pts_l = [frozenset(np.nonzero(col)[0].tolist()) for col in on_line.T]
+        tangents = [self.polar_l[index[A]] for A in pl.conic_points]
+        self.off_conic_ids = [i for i, P in enumerate(pts) if not pl.on_conic(P)]
+        # exterior points lie on 2 tangents, interior ones on none; PSL(2,q)
+        # holds the involutions centred at exterior points iff q = 1 (mod 4)
+        psl_tangents = 2 if self.q % 4 == 1 else 0
+        self.psl_l = [False] * n
+        for i in self.off_conic_ids:
+            hits = sum(onl[i][t] for t in tangents)
+            if hits not in (0, 2):
+                raise GeometryError(f"point {pts[i]} lies on {hits} tangents")
+            self.psl_l[i] = hits == psl_tangents
 
-        c0 = sub[mul[x1[:, None], x2[None, :]], mul[x2[:, None], x1[None, :]]]
-        c1 = sub[mul[x2[:, None], x0[None, :]], mul[x0[:, None], x2[None, :]]]
-        c2 = sub[mul[x0[:, None], x1[None, :]], mul[x1[:, None], x0[None, :]]]
-        line_through = triple_id[c0, c1, c2]  # -1 on the diagonal
-
-        two = F.add(1, 1)
-        polar_of = triple_id[x2, neg[mul[two, x1]], x0]
-        half = F.inv_t[two]
-        pole_of = triple_id[x2, neg[mul[half, x1]], x0]
-
-        quad = sub[mul[x0, x2], mul[x1, x1]]
-        conic_mask = quad == 0
-        tangent_ids = polar_of[np.nonzero(conic_mask)[0]]
-        tcount = on_line[:, tangent_ids].sum(axis=1)
-        point_class = np.where(conic_mask, 0, np.where(tcount == 2, 1, 2))
-        if not np.all((tcount[~conic_mask] == 2) | (tcount[~conic_mask] == 0)):
-            raise GeometryError("an off-conic point lies on neither 0 nor 2 tangents")
-        self.off_conic_ids = np.nonzero(~conic_mask)[0]
-        psl_point = point_class == (1 if q % 4 == 1 else 2)
-
-        # the per-triple path reads these Python-list forms
-        self.lt_l = line_through.tolist()
-        self.polar_l = polar_of.tolist()
-        self.pole_l = pole_of.tolist()
-        self.onl_l = on_line.tolist()
-        self.psl_l = psl_point.tolist()
-
-        gens, _ = conic_stabilizer_generators(F)
-        self.gen_point_perms = [[int(triple_id[mat_vec(F, g, pt)]) for pt in pts]
-                                for g in gens]
+        self.gen_point_perms = [[index[norm(mat_vec(F, g, P))] for P in pts]
+                                for g in conic_stabilizer_generators(F)]
 
     # -- group tables ---------------------------------------------------------
 
     def _build_group_tables(self):
+        """Elements by a breadth-first walk, then the Cayley table off its tree.
+
+        Element x is parent[x] * gens[gen_of[x]], with parent[x] < x, so
+        g * x = (g * parent[x]) * gens[gen_of[x]] gives each generator's left
+        multiplication, and x * y = parent[x] * (gens[gen_of[x]] * y) gives
+        row x of the Cayley table as row parent[x] read at the ids g * y.
+        """
         F, q = self.field, self.q
-        gens, gen_psl = conic_stabilizer_generators(F)
+        gens = conic_stabilizer_generators(F)
         ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
         order = q**3 - q
         elements = [ident]
         index = {ident: 0}
         parent = [0]
         gen_of = [0]
-        non_psl = [False]
         right = [None] * order  # right[x] = ids of x * g for the three generators
         frontier = [0]
         while frontier:
@@ -158,7 +153,6 @@ class Engine:
                         elements.append(y)
                         parent.append(xi)
                         gen_of.append(gi)
-                        non_psl.append(non_psl[xi] ^ (not gen_psl[gi]))
                         new.append(index[y])
                     row.append(index[y])
                 right[xi] = row
@@ -169,45 +163,44 @@ class Engine:
         self.elements = elements
         self.elt_index = index
         self.n_group = order
-        self.e_id = 0
-        self.psl_elt = np.array([not b for b in non_psl], dtype=bool)
 
-        rg = np.array(right, dtype=np.int32)
-        mul_t = np.empty((order, order), dtype=np.int32)
-        mul_t[:, 0] = np.arange(order)
-        for y in range(1, order):
-            mul_t[:, y] = rg[mul_t[:, parent[y]], gen_of[y]]
+        left = []  # left[g][y] = id of gens[g] * y
+        for gi in range(len(gens)):
+            row = [right[0][gi]] * order
+            for y in range(1, order):
+                row[y] = right[row[parent[y]]][gen_of[y]]
+            left.append(itemgetter(*row))
+        # every row holds the int objects of the identity row, not |G|^2 ints
+        mul = [tuple(range(order))]
+        for x in range(1, order):
+            mul.append(left[gen_of[x]](mul[parent[x]]))
+        self.mul_l = mul
 
-        acc = np.arange(order)
-        ords = np.zeros(order, dtype=np.int16)
-        base = np.arange(order)
-        for k in range(1, q + 2):
-            hit = (acc == 0) & (ords == 0)
-            ords[hit] = k
-            if ords.all():
-                break
-            acc = mul_t[acc, base]
-        if not ords.all():
-            raise GeometryError(f"an element of PGL(2,{q}) has order above {q + 1}")
-        self.orders_l = ords.tolist()
-        # the rows share one int object per id instead of holding |G|^2 ints
-        self.mul_l = np.array(range(order), dtype=object)[mul_t].tolist()
+        orders = []
+        for x in range(order):
+            y, k = x, 1  # y = x^k
+            while y and k <= q:
+                y = mul[y][x]
+                k += 1
+            if y:
+                raise GeometryError(f"an element of PGL(2,{q}) has order above {q + 1}")
+            orders.append(k)
+        self.orders_l = orders
 
     def _build_involution_tables(self):
-        inv_elt = np.full(self.n_points, -1, dtype=np.int32)
-        center_pt = np.full(self.n_group, -1, dtype=np.int32)
-        for pid in self.off_conic_ids.tolist():
+        inv_elt = [-1] * self.n_points
+        center_pt = [-1] * self.n_group
+        for pid in self.off_conic_ids:
             a = involution_from_center(self.plane, self.plane.points[pid])
             eid = self.elt_index[a.matrix]
             inv_elt[pid] = eid
             center_pt[eid] = pid
         if self.orders_l.count(2) != self.q**2:
             raise GeometryError(f"PGL(2,{self.q}) must have q^2 involutions")
-        if int((center_pt >= 0).sum()) != self.q**2:
+        if self.n_group - center_pt.count(-1) != self.q**2:
             raise GeometryError("off-conic points and involutions must correspond")
-        self.inv_elt_of_point = inv_elt
-        self.inv_elt_l = inv_elt.tolist()
-        self.center_pt_l = center_pt.tolist()
+        self.inv_elt_l = inv_elt
+        self.center_pt_l = center_pt
 
     # -- cached dihedral pairs -------------------------------------------------
 

@@ -297,7 +297,9 @@ class Field:
             if ok:
                 gen = g
                 break
-        assert gen is not None, "GF(q)* is cyclic, a generator must exist"
+        if gen is None:
+            # GF(q)* is cyclic, so only a reducible modulus leaves no generator
+            raise ReducibleModulus(f"no primitive element modulo {list(self.modulus)}")
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
             exp[i] = self._raw_mul(exp[i - 1], gen)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from conictopes.plane import Plane
+from conictopes.plane import GeometryError, Plane
 
 Matrix = tuple  # 9 field encodings, row-major, canonical
 
@@ -248,7 +248,8 @@ def in_psl(plane: Plane, a: Involution) -> bool:
     F = plane.field
     fixed = sum(1 for A in plane.conic_points
                 if point_image(plane, a.matrix, A) == A)
-    assert fixed in (0, 2)
+    if fixed not in (0, 2):
+        raise GeometryError(f"an involution fixes {fixed} conic points")
     if plane.q % 4 == 1:
         return fixed == 2
     return fixed == 0

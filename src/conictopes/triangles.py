@@ -405,7 +405,7 @@ def _tally(eng: Engine, weighted):
 
 def _sweep_chunk(field: Field, lo: int, hi: int):
     eng = engine_for(field)
-    off = [int(x) for x in eng.off_conic_ids]
+    off = eng.off_conic_ids
     return _tally(eng, ((tri, 1) for tri in _triple_range(off, lo, hi)))
 
 
@@ -516,7 +516,7 @@ def enumerate_triples(field: Field, mode: str = "full", sample: int | None = Non
         raise BudgetExceeded(f"sweep of {total} triples exceeds budget {budget}",
                              partial_size=0)
     eng = engine_for(field)
-    off = [int(x) for x in eng.off_conic_ids]
+    off = eng.off_conic_ids
 
     seed_out: int | None = None
     if mode == "full":

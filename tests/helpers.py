@@ -31,7 +31,7 @@ def stabilizer_m(F, a, b, c, d):
 def full_group(p, n=1) -> ElementSet:
     """The whole conic stabilizer, of order q^3 - q."""
     F = field(p, n)
-    gens, _ = conic_stabilizer_generators(F)
+    gens = conic_stabilizer_generators(F)
     H = closure(F, gens)
     assert len(H) == F.q**3 - F.q
     return H

@@ -84,6 +84,32 @@ def test_verify_main_budget_exit_3():
     assert out == ""
 
 
+def test_verify_main_negative_sample_exit_2():
+    code, out = run(["verify-main", "--p", "5", "--mode", "sample", "--sample", "-1"])
+    assert code == 2
+    assert out == ""
+
+
+def test_experiment_tau_negative_sample_exit_2():
+    code, out = run(["experiment-tau", "--p", "3", "--n", "3", "--sample", "-2"])
+    assert code == 2
+    assert out == ""
+
+
+def test_classify_zero_budget_exit_2():
+    code, out = run(["classify", "--p", "5", "--points",
+                     "[0,1,1];[1,0,1];[1,1,0]", "--budget", "0"])
+    assert code == 2
+    assert out == ""
+
+
+def test_geometry_zero_budget_exit_2():
+    code, out = run(["geometry", "--p", "5", "--points",
+                     "[0,1,1];[1,0,1];[1,1,0]", "--budget", "0"])
+    assert code == 2
+    assert out == ""
+
+
 def test_byte_identical_reports():
     args = ["enumerate", "--p", "3", "--n", "1", "--mode", "full"]
     _, out1 = run(args)

@@ -1,6 +1,7 @@
-"""The engine's list-based verdict routines, pinned to plain references."""
+"""The engine's tables and list-based verdict routines, pinned to plain references."""
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from helpers import field
 
-from conictopes import engine, plane
+import conictopes
 from conictopes.engine import engine_for
 from conictopes.geom import coset_criteria
+from conictopes.perspectivity import mat_mul, mat_order
+from conictopes.triangles import _orbit_reps
 
 FIELDS = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1))
 
@@ -37,7 +40,7 @@ def _bfs_closure(mul, gens):
 @given(data=st.data())
 def test_coset_walk_and_sp_intersect_match_references(p, n, data):
     eng = engine_for(field(p, n))
-    off = [int(x) for x in eng.off_conic_ids]
+    off = eng.off_conic_ids
     c0, c1, c2 = sorted(data.draw(
         st.lists(st.sampled_from(off), min_size=3, max_size=3, unique=True)))
     p01, p02, p12 = eng.pair(c0, c1), eng.pair(c0, c2), eng.pair(c1, c2)
@@ -58,9 +61,48 @@ def test_coset_walk_and_sp_intersect_match_references(p, n, data):
     assert fast == plain  # the four bits and every witness
 
 
+@pytest.mark.parametrize("p,n", FIELDS[:4])
+def test_tables_match_their_definitions(p, n):
+    F = field(p, n)
+    eng = engine_for(F)
+    pl = eng.plane
+    pts, lines, idx = pl.points, pl.lines, pl.point_index
+    assert eng.off_conic_ids == [i for i, P in enumerate(pts) if not pl.on_conic(P)]
+    for i, P in enumerate(pts):
+        assert eng.polar_l[i] == idx[pl.polar(P)]
+        assert eng.pole_l[i] == idx[pl.pole(P)]
+        assert eng.onl_l[i] == [pl.incident(P, L) for L in lines]
+        assert eng.lt_l[i] == [-1 if Q == P else idx[pl.line_through(P, Q)] for Q in pts]
+    for j, L in enumerate(lines):
+        assert eng.line_pts_l[j] == {i for i, P in enumerate(pts) if pl.incident(P, L)}
+
+    elts = eng.elements
+    assert eng.orders_l == [mat_order(F, x) for x in elts]
+    pairs = [(x, y) for x in range(eng.n_group) for y in range(eng.n_group)]
+    if F.q > 5:
+        pairs = random.Random(F.q).sample(pairs, 2000)
+    for x, y in pairs:
+        assert eng.mul_l[x][y] == eng.elt_index[mat_mul(F, elts[x], elts[y])]
+
+
+@pytest.mark.parametrize("p,n", FIELDS[:5])
+def test_label_cache_key_decides_the_label(p, n):
+    # group_label caches by (order, #involutions, largest element order)
+    eng = engine_for(field(p, n))
+    labels = {}
+    for (c0, c1, c2), _ in _orbit_reps(eng, eng.off_conic_ids):
+        gens = (eng.inv_elt_l[c0], eng.inv_elt_l[c1], eng.inv_elt_l[c2])
+        ids, _ = eng.closure_ids(eng.pair(c0, c1).elems, gens)
+        label = eng.identify_ids(ids).label
+        assert eng.group_label(ids) == label
+        assert labels.setdefault(eng.group_stats(ids), label) == label
+
+
 def test_no_assert_statements():
     # python -O strips asserts, so invariants raise typed errors instead
-    for module in (engine, plane):
-        tree = ast.parse(Path(module.__file__).read_text())
+    modules = sorted(Path(conictopes.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        tree = ast.parse(path.read_text())
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert not found, (module.__name__, found)
+        assert not found, (path.name, found)

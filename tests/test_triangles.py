@@ -204,7 +204,7 @@ def test_engine_matches_matrix_classification():
         eng = engine_for(F)
         pl = eng.plane
         rng = random.Random(88)
-        off = [int(x) for x in eng.off_conic_ids]
+        off = eng.off_conic_ids
         for _ in range(15):
             tri = tuple(sorted(rng.sample(off, 3)))
             key, hyp, snsp, coll = _sweep_triple(eng, tri)
@@ -220,7 +220,7 @@ def test_engine_witness_matches_matrix_witness_q5():
     F = field(5)
     eng = engine_for(F)
     pl = eng.plane
-    off = [int(x) for x in eng.off_conic_ids]
+    off = eng.off_conic_ids
     scanned = witnesses = 0
     for tri in combinations(off, 3):
         c0, c1, c2 = tri
@@ -247,13 +247,13 @@ def test_orbit_rep_groups_are_dicksons_types():
 
 
 def test_engine_psl_bookkeeping_matches_fixed_point_rule():
-    F = field(3, 2)
-    eng = engine_for(F)
-    pl = eng.plane
-    for pid in eng.off_conic_ids.tolist():
-        a = involution_from_center(pl, pl.points[pid])
-        eid = eng.inv_elt_of_point[pid]
-        assert bool(eng.psl_elt[eid]) == in_psl(pl, a)
+    # q = 7 and q = 9 cover both residues of q mod 4
+    for p, n in ((7, 1), (3, 2)):
+        eng = engine_for(field(p, n))
+        pl = eng.plane
+        for pid in eng.off_conic_ids:
+            a = involution_from_center(pl, pl.points[pid])
+            assert eng.psl_l[pid] == in_psl(pl, a)
 
 
 def test_non_proper_hypertope_iff_outside_dihedral():
@@ -322,7 +322,7 @@ def test_record_describe_shape():
 
 def test_unranked_triples_match_the_linear_walk_q5():
     eng = engine_for(field(5))
-    off = [int(x) for x in eng.off_conic_ids]
+    off = eng.off_conic_ids
     every = list(combinations(off, 3))
     total = len(every)
     for seed in (0, 1, 5, 2024):
