@@ -106,6 +106,8 @@ def _check_numeric_flags(args):
         raise ParseError(f"--sample must be >= 0, got {args.sample}")
     if args.budget < 1:
         raise ParseError(f"--budget must be >= 1, got {args.budget}")
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def _field_from_args(args) -> Field:
@@ -210,9 +212,7 @@ def _cmd_geometry(args, field):
 
 def _cmd_experiment_psl(args, field):
     """Tables for: which all-PSL triangles are strongly non self-polar."""
-    table = triangles.enumerate_triples(field, mode=args.mode, sample=args.sample,
-                                        seed=args.seed, jobs=args.jobs,
-                                        budget=args.budget)
+    table, _ = _cmd_enumerate(args, field)
     rows = [r for r in table.rows() if r["psl"] == "PPP"]
     total = sum(r["count"] for r in rows)
     snsp = sum(r["count"] for r in rows

@@ -1,11 +1,12 @@
 """Frobenius collineations, tau-triangles and correlation witnesses.
 
-A collineation is stored as a canonical matrix together with a Frobenius
-power k; it acts on a point by first raising coordinates to p^k and then
-applying the matrix.  The coordinatewise Frobenius fixes the conic (its
-form has prime-field coefficients), so it normalizes the conic stabilizer
-and acts on involutions by conjugation, which on canonical matrices is the
-entrywise field map.
+A collineation here is a power of the Frobenius automorphism, applied to
+every coordinate: x -> x^(p^k).  Composed with the projectivities of the
+group it gives the semilinear maps the correlation scan needs, so no matrix
+part is stored.  The coordinatewise Frobenius fixes the conic (its form has
+prime-field coefficients), so it normalizes the conic stabilizer and acts
+on involutions by conjugation, which on canonical matrices is the entrywise
+field map.
 
 Correlations of the coset geometry are exhibited through witnesses: group
 elements (or field maps composed with them) whose conjugation permutes the
@@ -33,7 +34,11 @@ from conictopes.perspectivity import (
     mat_vec,
 )
 from conictopes.plane import Plane
-from conictopes.triangles import TriangleRecord, construct_tangent_triangle
+from conictopes.triangles import (
+    TriangleRecord,
+    construct_tangent_triangle,
+    tangent_centers,
+)
 
 
 class InvalidPower(ValueError):
@@ -50,43 +55,30 @@ class NoTauTriangle(RuntimeError):
 
 @dataclass(frozen=True)
 class Collineation:
-    """Semilinear map point -> matrix * point^(p^frob); projectivity when frob=0."""
+    """The coordinatewise field map x -> x^(p^frob); the identity when frob = 0."""
 
     field: Field
-    matrix: Matrix
     frob: int = 0
 
     @property
     def order(self) -> int:
-        if self.matrix == (1, 0, 0, 0, 1, 0, 0, 0, 1):
-            n = self.field.n
-            return n // gcd(n, self.frob) if self.frob else 1
-        raise NotImplementedError("order is only tracked for pure field maps")
+        return self.field.n // gcd(self.field.n, self.frob)
 
     def apply_point(self, plane: Plane, point):
         F = self.field
-        v = tuple(F.frobenius(x, self.frob) for x in point)
-        m = self.matrix
-        mul, add = F.mul_t, F.add
-        w = (add(add(mul[m[0]][v[0]], mul[m[1]][v[1]]), mul[m[2]][v[2]]),
-             add(add(mul[m[3]][v[0]], mul[m[4]][v[1]]), mul[m[5]][v[2]]),
-             add(add(mul[m[6]][v[0]], mul[m[7]][v[1]]), mul[m[8]][v[2]]))
-        return plane.normalize(w)
+        return plane.normalize(tuple(F.frobenius(x, self.frob) for x in point))
 
     def conjugate_matrix(self, g: Matrix) -> Matrix:
         """Image of a projectivity under conjugation by this collineation."""
         F = self.field
-        gs = tuple(F.frobenius(x, self.frob) for x in g)
-        if self.matrix == (1, 0, 0, 0, 1, 0, 0, 0, 1):
-            return mat_canonical(F, gs)
-        return mat_mul(F, mat_mul(F, self.matrix, gs), mat_adjugate(F, self.matrix))
+        return mat_canonical(F, tuple(F.frobenius(x, self.frob) for x in g))
 
 
 def frobenius_collineation(field: Field, k: int) -> Collineation:
     """The coordinatewise x -> x^(p^k) collineation; fixes the conic setwise."""
     if not 1 <= k < field.n:
         raise InvalidPower(f"need 1 <= k < n = {field.n}, got {k}")
-    return Collineation(field=field, matrix=(1, 0, 0, 0, 1, 0, 0, 0, 1), frob=k)
+    return Collineation(field=field, frob=k)
 
 
 def tau_triangle(plane: Plane, A, tau: Collineation) -> TriangleRecord:
@@ -149,7 +141,7 @@ def correlation_witness(plane: Plane, H: ElementSet, gens, sigma,
             moved_centers = tuple(g.center for g in gens)
             moved_mats = tuple(g.matrix for g in gens)
         else:
-            tau = Collineation(field=field, matrix=(1, 0, 0, 0, 1, 0, 0, 0, 1), frob=k)
+            tau = Collineation(field=field, frob=k)
             moved_centers = tuple(tau.apply_point(plane, g.center) for g in gens)
             moved_mats = tuple(tau.conjugate_matrix(g.matrix) for g in gens)
         for g in H.elements:
@@ -203,9 +195,8 @@ def triality_projectivity_check(field: Field, closure_cap=200_000) -> TrialityRe
         raise NoTauTriangle("every conic point is fixed by the field map")
     B = tau.apply_point(plane, A)
     C = tau.apply_point(plane, B)
-    tA, tB, tC = (plane.polar(x) for x in (A, B, C))
-    P, Q, R = plane.meet(tA, tB), plane.meet(tB, tC), plane.meet(tA, tC)
-    invs = tuple(involution_from_center(plane, x) for x in (P, Q, R))
+    invs = tuple(involution_from_center(plane, x)
+                 for x in tangent_centers(plane, A, B, C))
     H = closure(field, invs, cap=closure_cap)
     mats = tuple(a.matrix for a in invs)
     targets = tuple(tau.conjugate_matrix(m) for m in mats)

@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from conictopes.gf import Field
 from conictopes.grp import GroupId, identify
-from conictopes.perspectivity import involution_from_center, mat_mul, mat_vec
+from conictopes.perspectivity import IDENTITY, involution_from_center, mat_mul, mat_vec
 from conictopes.plane import GeometryError, Plane
 
 MAX_ENGINE_Q = 13
@@ -133,10 +133,9 @@ class Engine:
         """
         F, q = self.field, self.q
         gens = conic_stabilizer_generators(F)
-        ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
         order = q**3 - q
-        elements = [ident]
-        index = {ident: 0}
+        elements = [IDENTITY]
+        index = {IDENTITY: 0}
         parent = [0]
         gen_of = [0]
         right = [None] * order  # right[x] = ids of x * g for the three generators

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from conictopes.grp import ElementSet, closure
+from conictopes.grp import ElementSet, closure, generate
 from conictopes.perspectivity import IDENTITY, Involution, mat_mul, product_order
 from conictopes.plane import Plane
 
@@ -88,7 +88,7 @@ def coset_criteria(e, mul, gens, subgroups, sp_intersect=None) -> CriteriaReport
         gen_set = pairs[(i, j)] | pairs[(i, k)]
         if gens[j] in gen_set and gens[k] in gen_set:
             continue  # <a_j, a_k> = H_i by construction
-        generated = _generic_closure(e, mul, gen_set)
+        generated = frozenset(generate(e, mul, gen_set))
         if generated != Hs[i]:
             rc = False
             witnesses.setdefault("rc", []).append(
@@ -113,22 +113,6 @@ def coset_criteria(e, mul, gens, subgroups, sp_intersect=None) -> CriteriaReport
     return CriteriaReport(thin=ip and ft, residually_connected=rc,
                           flag_transitive=ft, intersection_property=ip,
                           witnesses=witnesses)
-
-
-def _generic_closure(e, mul, seed):
-    elems = {e} | set(seed)
-    frontier = list(elems)
-    gens = list(seed)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(elems)
 
 
 def pair_subgroups(plane: Plane, gens) -> list:
@@ -297,17 +281,19 @@ def graph_oracle(geometry: CosetGeometry, H: ElementSet) -> CriteriaReport:
 
 def _connected(adj, vertices) -> bool:
     verts = list(vertices)
-    if not verts:
-        return True
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        u = stack.pop()
+    return not verts or len(_distances(adj, verts[0])) == len(verts)
+
+
+def _distances(adj, start) -> dict:
+    """Breadth-first distances from start to every vertex it reaches."""
+    dist = {start: 0}
+    queue = [start]
+    for u in queue:
         for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(verts)
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 # -- Buekenhout diagram data ---------------------------------------------------
@@ -331,6 +317,12 @@ class DiagramReport:
         return out
 
 
+def edge_labels(field, invs) -> dict:
+    """{(i, j): order of alpha_i * alpha_j} for the pairs i < j."""
+    return {(i, j): product_order(field, invs[i], invs[j])
+            for i, j in ((0, 1), (0, 2), (1, 2))}
+
+
 def diagram(plane: Plane, a0: Involution, a1: Involution, a2: Involution,
             geometry: CosetGeometry | None = None) -> DiagramReport:
     """Edge labels from product orders; residue parameters from the geometry.
@@ -339,12 +331,7 @@ def diagram(plane: Plane, a0: Involution, a1: Involution, a2: Involution,
     residue type {i, j} is measured on the residue of the base type-k coset
     by bipartite BFS; d_P is taken from the lower-type side.
     """
-    F = plane.field
-    gens = (a0, a1, a2)
-    labels = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            labels[(i, j)] = product_order(F, gens[i], gens[j])
+    labels = edge_labels(plane.field, (a0, a1, a2))
     report = DiagramReport(edge_labels=labels,
                            linear=any(v == 2 for v in labels.values()))
     if geometry is None:
@@ -369,26 +356,11 @@ def diagram(plane: Plane, a0: Involution, a1: Involution, a2: Involution,
                 if (tj, cj) in vset:
                     adj[(ti, ci)].add((tj, cj))
                     adj[(tj, cj)].add((ti, ci))
-        d_p = max((_ecc(adj, (ti, c)) for c in side_i), default=0)
-        d_l = max((_ecc(adj, (tj, c)) for c in side_j), default=0)
+        d_p = max((max(_distances(adj, (ti, c)).values()) for c in side_i), default=0)
+        d_l = max((max(_distances(adj, (tj, c)).values()) for c in side_j), default=0)
         params[(ti, tj)] = (d_p, _girth(adj) // 2, d_l)
     report.residue_params = params
     return report
-
-
-def _ecc(adj, start) -> int:
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return max(dist.values())
 
 
 def _girth(adj) -> int:

@@ -263,11 +263,6 @@ class Field:
             raise ValueError("frobenius power must be non-negative")
         return self.pow(a, self.p ** (k % self.n))
 
-    def is_square(self, a: int) -> bool:
-        if a == 0:
-            return True
-        return self._log[a] % 2 == 0
-
     # -- table construction ---------------------------------------------
 
     def _raw_mul(self, a: int, b: int) -> int:
@@ -281,20 +276,10 @@ class Field:
         factors = _prime_factors(q - 1)
         gen = None
         for g in range(2, q):
-            ok = True
-            for r in factors:
-                # g^((q-1)/r) == 1 would kill primitivity
-                acc, e = 1, (q - 1) // r
-                base = g
-                while e:
-                    if e & 1:
-                        acc = self._raw_mul(acc, base)
-                    base = self._raw_mul(base, base)
-                    e >>= 1
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
+            # g^((q-1)/r) == 1 for a prime r | q-1 would kill primitivity
+            poly = _trim(self.decode(g))
+            if all(_poly_pow_mod(self.p, poly, (q - 1) // r, self.modulus) != (1,)
+                   for r in factors):
                 gen = g
                 break
         if gen is None:

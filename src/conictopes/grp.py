@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from conictopes.gf import Field
 from conictopes.perspectivity import (
@@ -48,17 +48,11 @@ class ElementSet:
     """A set of canonical projectivity matrices, in deterministic BFS order."""
 
     elements: tuple
-    generators: tuple = ()
     closed: bool = False
 
-    @property
+    @cached_property
     def eset(self):
-        return self._eset()
-
-    def _eset(self):
-        if not hasattr(self, "_eset_cache"):
-            object.__setattr__(self, "_eset_cache", frozenset(self.elements))
-        return self._eset_cache
+        return frozenset(self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -74,33 +68,35 @@ def _as_matrix(g):
     return g.matrix if isinstance(g, Involution) else tuple(g)
 
 
-def closure(field: Field, generators, cap: int = DEFAULT_CLOSURE_CAP) -> ElementSet:
-    """Breadth-first closure of a generator list under right multiplication.
+def generate(e, mul, gens, cap=None) -> list:
+    """Breadth-first closure of gens under right multiplication, from e.
 
-    Deterministic: elements appear in discovery order starting from the
-    identity, with generators applied in the given order.  Fails cleanly
-    with BudgetExceeded when the element count passes cap.
+    Generic over the element representation, like identify: e is the
+    identity and mul a binary product.  Elements appear in discovery order,
+    with generators applied in the given order.  Fails cleanly with
+    BudgetExceeded when the element count passes cap.
     """
+    elements = [e]
+    seen = {e}
+    for x in elements:
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+                if cap is not None and len(elements) > cap:
+                    raise BudgetExceeded(
+                        f"closure exceeded cap {cap}", partial_size=len(elements))
+    return elements
+
+
+def closure(field: Field, generators, cap: int = DEFAULT_CLOSURE_CAP) -> ElementSet:
+    """generate() on canonical matrices: the subgroup a generator list spans."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     gens = tuple(_as_matrix(g) for g in generators)
-    elements = [IDENTITY]
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = mat_mul(field, x, g)
-                if y not in seen:
-                    seen.add(y)
-                    elements.append(y)
-                    new.append(y)
-                    if len(elements) > cap:
-                        raise BudgetExceeded(
-                            f"closure exceeded cap {cap}", partial_size=len(elements))
-        frontier = new
-    return ElementSet(elements=tuple(elements), generators=gens, closed=True)
+    elements = generate(IDENTITY, lambda x, y: mat_mul(field, x, y), gens, cap)
+    return ElementSet(elements=tuple(elements), closed=True)
 
 
 def _element_iter(A):

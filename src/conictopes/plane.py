@@ -81,10 +81,6 @@ class Plane:
     def lines(self) -> list[tuple[int, int, int]]:
         return self.points
 
-    @cached_property
-    def line_index(self) -> dict[tuple[int, int, int], int]:
-        return self.point_index
-
     def incident(self, point, line) -> bool:
         mul = self.field.mul_t
         add = self.field.add

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain, combinations, islice
 
 from conictopes.engine import Engine, engine_for
-from conictopes.geom import CriteriaReport, coset_criteria, pair_subgroups
+from conictopes.geom import CriteriaReport, coset_criteria, edge_labels, pair_subgroups
 from conictopes.gf import Field
 from conictopes.grp import BudgetExceeded, ElementSet, GroupId, closure, identify_group
 from conictopes.perspectivity import (
@@ -166,10 +166,7 @@ def classify_triangle(plane: Plane, P, Q, R, closure_cap=200_000) -> TriangleRec
         raise DegenerateInput("points must be off the conic")
     F = plane.field
     invs = tuple(involution_from_center(plane, x) for x in pts)
-    labels = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            labels[(i, j)] = product_order(F, invs[i], invs[j])
+    labels = edge_labels(F, invs)
     Hs = pair_subgroups(plane, invs)
     sides = tuple(_side_of(plane, Hs[i]) for i in range(3))
     gens = tuple(a.matrix for a in invs)
@@ -211,6 +208,12 @@ def not_psl_sufficient(plane: Plane, a0: Involution, a1: Involution,
     return not any(in_psl(plane, a) for a in (a0, a1, a2))
 
 
+def tangent_centers(plane: Plane, A, B, C) -> tuple:
+    """Meets of the tangents at conic points A, B, C: (tA.tB, tB.tC, tA.tC)."""
+    tA, tB, tC = (plane.polar(x) for x in (A, B, C))
+    return plane.meet(tA, tB), plane.meet(tB, tC), plane.meet(tA, tC)
+
+
 def construct_tangent_triangle(plane: Plane, A, B, C,
                                closure_cap=200_000) -> TriangleRecord:
     """Triangle of the three tangent lines at distinct conic points A, B, C."""
@@ -219,11 +222,8 @@ def construct_tangent_triangle(plane: Plane, A, B, C,
         raise PointsNotOnConic("tangent triangles are built on conic points")
     if len(set(pts)) != 3:
         raise CoincidentConicPoints("conic points must be pairwise distinct")
-    tA, tB, tC = (plane.polar(x) for x in pts)
-    P = plane.meet(tA, tB)
-    Q = plane.meet(tB, tC)
-    R = plane.meet(tA, tC)
-    return classify_triangle(plane, P, Q, R, closure_cap=closure_cap)
+    return classify_triangle(plane, *tangent_centers(plane, *pts),
+                             closure_cap=closure_cap)
 
 
 def construct_nonlinear_pgl(field: Field, closure_cap=2_000_000) -> TriangleRecord:
@@ -304,10 +304,6 @@ class ClassificationTable:
     counts: dict            # (class, group label, psl signature, hypertope) -> count
     main_violations: int
     violation_samples: list
-
-    @property
-    def hypertope_count(self) -> int:
-        return sum(v for k, v in self.counts.items() if k[3])
 
     def class_counts(self) -> dict:
         out = {}

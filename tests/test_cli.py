@@ -96,6 +96,19 @@ def test_experiment_tau_negative_sample_exit_2():
     assert out == ""
 
 
+def test_experiment_psl_sample_mode_without_size_exit_2():
+    code, out = run(["experiment-psl", "--p", "5", "--mode", "sample"])
+    assert code == 2
+    assert out == ""
+
+
+def test_jobs_below_one_exit_2():
+    for jobs in ("0", "-1"):
+        code, out = run(["verify-main", "--p", "3", "--jobs", jobs])
+        assert code == 2
+        assert out == ""
+
+
 def test_classify_zero_budget_exit_2():
     code, out = run(["classify", "--p", "5", "--points",
                      "[0,1,1];[1,0,1];[1,1,0]", "--budget", "0"])

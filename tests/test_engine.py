@@ -2,6 +2,7 @@
 
 import ast
 import random
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import conictopes
 from conictopes.engine import engine_for
 from conictopes.geom import coset_criteria
 from conictopes.perspectivity import mat_mul, mat_order
-from conictopes.triangles import _orbit_reps
+from conictopes.triangles import _orbit_reps, _sweep_triple
 
 FIELDS = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1))
 
@@ -96,6 +97,26 @@ def test_label_cache_key_decides_the_label(p, n):
         label = eng.identify_ids(ids).label
         assert eng.group_label(ids) == label
         assert labels.setdefault(eng.group_stats(ids), label) == label
+
+
+@pytest.mark.parametrize("p,n", ((5, 1), (7, 1), (3, 2), (11, 1)))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sweep_key_is_symmetric_and_group_invariant(p, n, data):
+    # orbit-reps weights one key by the orbit size, and unordered counts are
+    # ordered counts / 6: both need the key to be a function of the orbit
+    eng = engine_for(field(p, n))
+    tri = tuple(data.draw(
+        st.lists(st.sampled_from(eng.off_conic_ids), min_size=3, max_size=3, unique=True)))
+    key = _sweep_triple(eng, tri)[0]
+    for order in permutations(tri):
+        assert _sweep_triple(eng, order)[0] == key
+    perms = eng.gen_point_perms
+    word = data.draw(st.lists(st.integers(0, len(perms) - 1), min_size=1, max_size=12))
+    image = tri
+    for g in word:
+        image = tuple(perms[g][c] for c in image)
+    assert _sweep_triple(eng, tuple(sorted(image)))[0] == key
 
 
 def test_no_assert_statements():
