@@ -138,13 +138,15 @@ def _cmd_classify(args, field):
     return report, EXIT_OK
 
 
-def _require_sample_size(args):
+def _check_sweep_flags(args):
     if args.mode == "sample" and args.sample is None:
         raise ParseError("sample mode needs --sample")
+    if args.jobs > 1 and args.mode != "full":
+        raise ParseError(f"--jobs applies to full mode only, not {args.mode}")
 
 
 def _cmd_enumerate(args, field):
-    _require_sample_size(args)
+    _check_sweep_flags(args)
     table = triangles.enumerate_triples(field, mode=args.mode, sample=args.sample,
                                         seed=args.seed, jobs=args.jobs,
                                         budget=args.budget)
@@ -152,7 +154,7 @@ def _cmd_enumerate(args, field):
 
 
 def _cmd_verify_main(args, field):
-    _require_sample_size(args)
+    _check_sweep_flags(args)
     table = triangles.verify_main(field, mode=args.mode, sample=args.sample,
                                   seed=args.seed, jobs=args.jobs,
                                   budget=args.budget)
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="full")
         sp.add_argument("--sample", type=int, help="sample size for sample mode")
         sp.add_argument("--seed", type=int, default=0, help="PRNG seed (Mersenne Twister)")
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+        sp.add_argument("--jobs", type=int, default=1, help="worker processes for full sweeps")
         sp.add_argument("--budget", type=int, default=grp.DEFAULT_CLOSURE_CAP,
                         help="element budget for closures and sweeps")
         sp.add_argument("--out", help="output path (atomic write); stdout when absent")

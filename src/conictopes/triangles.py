@@ -52,7 +52,7 @@ from conictopes.perspectivity import (
     mat_mul,
     product_order,
 )
-from conictopes.plane import Plane
+from conictopes.plane import GeometryError, Plane
 
 COLLINEAR = "Collinear"
 SELF_POLAR = "SelfPolar"
@@ -439,43 +439,95 @@ def _triple_range(off, lo: int, hi: int):
     return islice(rest, hi - lo)
 
 
-def _orbit(perms, tri) -> set:
-    """Sorted id triples in the orbit of tri under the generators' point permutations."""
-    orbit = {tri}
-    stack = [tri]
-    while stack:
-        t = stack.pop()
-        for perm in perms:
-            img = tuple(sorted((perm[t[0]], perm[t[1]], perm[t[2]])))
-            if img not in orbit:
-                orbit.add(img)
-                stack.append(img)
-    return orbit
+def _point_orbits(eng: Engine, off):
+    """G's orbits on the off-conic points, and the orbit number of each point.
+
+    Orbits are found by walking the generators' point permutations from each
+    unseen point of off, so they come in the order of their smallest points
+    P0.  Each orbit is (P0, transversal, stabilizer): transversal maps each X
+    of the orbit to a point map taking X to P0, read off the Schreier tree of
+    the walk, and stabilizer holds Stab(P0) as point maps on off.  Stab(P0)
+    is the centralizer of alpha_P0, and s takes X to the center of
+    s * alpha_X * s^-1.
+    """
+    mul, inv_elt, center = eng.mul_l, eng.inv_elt_l, eng.center_pt_l
+    perms = eng.gen_point_perms
+    inverses = []
+    for perm in perms:
+        inverse = [0] * len(perm)
+        for x, y in enumerate(perm):
+            inverse[y] = x
+        inverses.append(inverse)
+    orbits = []
+    orbit_of = [-1] * eng.n_points
+    for P0 in off:
+        if orbit_of[P0] >= 0:
+            continue
+        transversal = {P0: list(range(eng.n_points))}
+        walk = [P0]
+        for Y in walk:
+            to_P0 = transversal[Y]
+            for perm, inverse in zip(perms, inverses):
+                X = perm[Y]
+                if X not in transversal:
+                    transversal[X] = [to_P0[z] for z in inverse]
+                    walk.append(X)
+        for X in walk:
+            orbit_of[X] = len(orbits)
+        a = inv_elt[P0]
+        stabilizer = []
+        for s in range(eng.n_group):
+            row = mul[s]
+            if row[a] == mul[a][s]:
+                s_inv = row.index(0)
+                point_map = [-1] * eng.n_points
+                for X in off:
+                    point_map[X] = center[mul[row[inv_elt[X]]][s_inv]]
+                stabilizer.append(point_map)
+        if len(stabilizer) * len(walk) != eng.n_group:
+            raise GeometryError(f"|Stab(P0)| = {len(stabilizer)} times the orbit size "
+                                f"{len(walk)} is not |G| = {eng.n_group}")
+        orbits.append((P0, transversal, stabilizer))
+    return orbits, orbit_of
 
 
 def _orbit_reps(eng: Engine, off):
-    """(canonical representative, orbit size) for each conic-stabilizer orbit.
+    """(representative, orbit size) for each conic-stabilizer orbit of triples.
 
-    Visited triples are one byte each, indexed by the colex rank of their
-    positions in off.
+    Every orbit has a triple through P0_k, the smallest point of the first
+    point orbit k that the triple meets, so for each k the walk runs over
+    the triples {P0_k, Q, R} with Q < R in orbit k or a later one, in
+    lexicographic order.  The first unmarked one is the representative, and
+    the triples of its orbit through P0_k are s(t_X(t)) for X in t and in
+    orbit k, s in Stab(P0_k): all of them are marked.  Counting (triple,
+    point of orbit k on it) pairs two ways, the orbit has m * N_k / c
+    triples for m of them through P0_k, an orbit k of N_k points and c
+    points of each triple in orbit k.  Every point of orbit k or a later
+    one is at least P0_k, so the representative is the smallest triple of
+    its orbit, and representatives come in sorted order.
     """
-    perms = eng.gen_point_perms
-    n = len(off)
-    b2, b3 = _binomials(n)
-    pos = [0] * eng.n_points
-    for i, c in enumerate(off):
-        pos[c] = i
-    visited = bytearray(b3[n])
-    for a in range(n):
-        for b in range(a + 1, n):
-            ab = a + b2[b]
-            for c in range(b + 1, n):
-                if visited[ab + b3[c]]:
+    orbits, orbit_of = _point_orbits(eng, off)
+    for k, (P0, transversal, stabilizer) in enumerate(orbits):
+        n_k = len(transversal)
+        later = [X for X in off if orbit_of[X] >= k and X != P0]
+        marked = set()
+        for i, Q in enumerate(later):
+            for R in later[i + 1:]:
+                if (Q, R) in marked:
                     continue
-                orbit = _orbit(perms, (off[a], off[b], off[c]))
-                for t in orbit:
-                    visited[pos[t[0]] + b2[pos[t[1]]] + b3[pos[t[2]]]] = 1
-                yield min(orbit), len(orbit)
+                tri = (P0, Q, R)
+                to_P0 = [transversal[X] for X in tri if orbit_of[X] == k]
+                through = set()
+                for u in to_P0:
+                    x, y, z = u[P0], u[Q], u[R]
+                    for s in stabilizer:
+                        through.add(tuple(sorted((s[x], s[y], s[z])))[1:])
+                marked.update(through)
+                size, rest = divmod(len(through) * n_k, len(to_P0))
+                if rest:
+                    raise GeometryError(f"{len(through)} triples through P0 times {n_k} "
+                                        f"points is not a multiple of {len(to_P0)}")
+                yield tri, size
 
 
 def _sampled(off, total: int, sample: int, seed: int):
@@ -493,15 +545,18 @@ def enumerate_triples(field: Field, mode: str = "full", sample: int | None = Non
                       budget: int = 20_000_000) -> ClassificationTable:
     """Sweep involution triples and tabulate classes, groups and verdicts.
 
-    full mode iterates all C(q^2, 3) triples; orbit-reps partitions the
-    triple space into conic-stabilizer orbits and classifies one canonical
-    representative per orbit (counts weighted by orbit size, so totals
-    match full mode exactly); sample(N) draws N distinct triples with the
-    seeded Mersenne Twister PRNG of random.Random.  jobs > 1 fans the full
-    mode out over forked workers.
+    full mode iterates all C(q^2, 3) triples; orbit-reps classifies one
+    representative per conic-stabilizer orbit, the smallest triple of the
+    orbit, found from a point-stabilizer transversal without visiting the
+    other triples (counts weighted by orbit size, so totals match full mode
+    exactly); sample(N) draws N distinct triples with the seeded Mersenne
+    Twister PRNG of random.Random.  jobs > 1 fans the full mode out over
+    forked workers and is a ValueError in the other modes.
     """
     from conictopes.engine import MAX_ENGINE_Q
 
+    if jobs > 1 and mode != "full":
+        raise ValueError(f"jobs > 1 applies to full mode only, not {mode!r}")
     if field.q > MAX_ENGINE_Q:
         raise BudgetExceeded(
             f"the sweep tables are limited to q <= {MAX_ENGINE_Q}, got q = {field.q}",
@@ -527,7 +582,7 @@ def enumerate_triples(field: Field, mode: str = "full", sample: int | None = Non
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if mode == "full" and jobs > 1:
+    if jobs > 1:
         parts = _parallel_sweep(field, total, jobs)
     else:
         parts = [_tally(eng, weighted)]

@@ -109,6 +109,19 @@ def test_jobs_below_one_exit_2():
         assert out == ""
 
 
+def test_jobs_outside_full_mode_exit_2(monkeypatch):
+    # the flag check fires before any sweep, so nothing forks
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep was started")
+
+    monkeypatch.setattr(cli.triangles, "enumerate_triples", no_sweep)
+    for mode in (["--mode", "orbit-reps"], ["--mode", "sample", "--sample", "5"]):
+        for command in ("verify-main", "enumerate"):
+            code, out = run([command, "--p", "3", "--jobs", "2", *mode])
+            assert code == 2
+            assert out == ""
+
+
 def test_classify_zero_budget_exit_2():
     code, out = run(["classify", "--p", "5", "--points",
                      "[0,1,1];[1,0,1];[1,1,0]", "--budget", "0"])

@@ -3,6 +3,7 @@
 import ast
 import random
 from itertools import permutations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,20 @@ def _bfs_closure(mul, gens):
                     new.append(y)
         frontier = new
     return seen
+
+
+def _orbit(perms, tri) -> set:
+    """Sorted id triples in the orbit of tri under the generators' point permutations."""
+    orbit = {tri}
+    stack = [tri]
+    while stack:
+        t = stack.pop()
+        for perm in perms:
+            img = tuple(sorted((perm[t[0]], perm[t[1]], perm[t[2]])))
+            if img not in orbit:
+                orbit.add(img)
+                stack.append(img)
+    return orbit
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -117,6 +132,33 @@ def test_sweep_key_is_symmetric_and_group_invariant(p, n, data):
     for g in word:
         image = tuple(perms[g][c] for c in image)
     assert _sweep_triple(eng, tuple(sorted(image)))[0] == key
+
+
+@pytest.mark.parametrize("p,n,n_reps", ((3, 1, 10), (5, 1, 37), (7, 1, 90),
+                                         (3, 2, 175), (11, 1, 302)))
+def test_orbit_reps_match_a_generator_walk(p, n, n_reps):
+    # each weight is the size of its rep's orbit, and the orbits partition
+    # the C(q^2, 3) triples
+    eng = engine_for(field(p, n))
+    off = eng.off_conic_ids
+    reps = list(_orbit_reps(eng, off))
+    assert len(reps) == n_reps
+    assert [rep for rep, _ in reps] == sorted(rep for rep, _ in reps)
+    covered = set()
+    for rep, size in reps:
+        orbit = _orbit(eng.gen_point_perms, rep)
+        assert size == len(orbit)
+        assert rep == min(orbit)
+        assert covered.isdisjoint(orbit)
+        covered |= orbit
+    assert len(covered) == comb(len(off), 3)
+
+
+def test_orbit_reps_q13():
+    eng = engine_for(field(13))
+    reps = list(_orbit_reps(eng, eng.off_conic_ids))
+    assert len(reps) == 479
+    assert sum(size for _, size in reps) == comb(169, 3) == 790_244
 
 
 def test_no_assert_statements():

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import field, plane
 
+from conictopes import triangles
 from conictopes.engine import engine_for
 from conictopes.grp import closure
 from conictopes.perspectivity import in_psl, involution_from_center
@@ -179,6 +180,23 @@ def test_orbit_reps_matches_full():
         reps = enumerate_triples(field(p, n), mode="orbit-reps")
         assert reps.counts == full.counts
         assert reps.total == full.total
+
+
+def test_orbit_reps_matches_full_q7():
+    full = enumerate_triples(field(7), mode="full")
+    reps = enumerate_triples(field(7), mode="orbit-reps")
+    assert reps.counts == full.counts
+    assert reps.total == full.total == 18_424
+
+
+def test_jobs_outside_full_mode_is_a_value_error(monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(triangles, "_parallel_sweep", no_fork)
+    for mode, sample in (("orbit-reps", None), ("sample", 5)):
+        with pytest.raises(ValueError, match="full mode only"):
+            enumerate_triples(field(3), mode=mode, sample=sample, jobs=2)
 
 
 def test_sample_mode_deterministic_and_whole_space():
