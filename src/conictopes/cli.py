@@ -203,8 +203,8 @@ def _cmd_geometry(args, field):
     plane = Plane(field)
     if not args.points:
         raise ParseError("geometry needs --points")
-    pts = parse_points(args.points, field)
-    if any(plane.on_conic(x) for x in pts) or len(set(map(tuple, pts))) != 3:
+    pts = [plane.normalize(x) for x in parse_points(args.points, field)]
+    if any(plane.on_conic(x) for x in pts) or len(set(pts)) != 3:
         raise ParseError("points must be three distinct off-conic points")
     invs = [involution_from_center(plane, x) for x in pts]
     H = closure(field, invs, cap=args.budget)
@@ -250,18 +250,14 @@ def _cmd_experiment_tau(args, field):
         rec = triangles.classify_triangle(plane, P, Q, R, closure_cap=args.budget)
         H = rec.group
         powers = (0, field.n // 3, 2 * field.n // 3)
-        trialities = []
-        for sigma in ((1, 2, 0), (2, 0, 1)):
-            w = corr.correlation_witness(plane, H, rec.involutions, sigma,
-                                         frob_powers=powers)
-            if w is not None:
-                trialities.append(w.describe())
-        dualities = []
-        for sigma in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-            w = corr.correlation_witness(plane, H, rec.involutions, sigma,
-                                         frob_powers=powers)
-            if w is not None:
-                dualities.append(w.describe())
+        trialities, dualities = [], []
+        for sigmas, found in ((((1, 2, 0), (2, 0, 1)), trialities),
+                              (((0, 2, 1), (2, 1, 0), (1, 0, 2)), dualities)):
+            for sigma in sigmas:
+                w = corr.correlation_witness(plane, H, rec.involutions, sigma,
+                                             frob_powers=powers)
+                if w is not None:
+                    found.append(w.describe())
         rows.append({"orbit": [list(P), list(Q), list(R)],
                      "class": rec.triangle_class,
                      "group": rec.group_id.describe(),

@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from conictopes.gf import Field
-from conictopes.grp import GroupId, identify
+from conictopes.grp import GroupId, element_orders, identify, powers
 from conictopes.perspectivity import IDENTITY, involution_from_center, mat_mul, mat_vec
 from conictopes.plane import GeometryError, Plane
 
@@ -174,17 +174,7 @@ class Engine:
         for x in range(1, order):
             mul.append(left[gen_of[x]](mul[parent[x]]))
         self.mul_l = mul
-
-        orders = []
-        for x in range(order):
-            y, k = x, 1  # y = x^k
-            while y and k <= q:
-                y = mul[y][x]
-                k += 1
-            if y:
-                raise GeometryError(f"an element of PGL(2,{q}) has order above {q + 1}")
-            orders.append(k)
-        self.orders_l = orders
+        self.orders_l = element_orders(0, lambda x, y: mul[x][y], range(order), q + 1)
 
     def _build_involution_tables(self):
         inv_elt = [-1] * self.n_points
@@ -212,12 +202,7 @@ class Engine:
         mul = self.mul_l
         a = self.inv_elt_l[key[0]]
         b = self.inv_elt_l[key[1]]
-        c = mul[a][b]
-        rots = [0]
-        r = c
-        while r != 0:
-            rots.append(r)
-            r = mul[r][c]
+        rots = [0] + powers(0, lambda x, y: mul[x][y], mul[a][b], self.q + 1)[:-1]
         t = len(rots)
         elems = rots + [mul[r_][a] for r_ in rots]
         centers = [self.center_pt_l[e] for e in elems if self.center_pt_l[e] >= 0]

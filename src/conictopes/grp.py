@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from conictopes.gf import Field
 from conictopes.perspectivity import (
@@ -24,9 +24,9 @@ from conictopes.perspectivity import (
     Involution,
     line_image,
     mat_mul,
-    mat_vec,
+    mat_vec,  # unused here; kept as grp.mat_vec, a name perfbench's tracer wraps
 )
-from conictopes.plane import Plane
+from conictopes.plane import GeometryError, Plane
 
 DEFAULT_CLOSURE_CAP = 2_000_000
 
@@ -162,32 +162,38 @@ class GroupId:
         return out
 
 
-@lru_cache(maxsize=8)
-def _plane_for(field: Field) -> Plane:
-    return Plane(field)
+def powers(e, mul, x, cap) -> list:
+    """[x, x^2, ..., e]: the powers of x up to its order, which is the length.
+
+    Generic over the element representation, like generate: e is the
+    identity and mul a binary product.  Raises GeometryError once the walk
+    passes cap without reaching e.
+    """
+    walk = [x]
+    y = x
+    while y != e:
+        if len(walk) >= cap:
+            raise GeometryError(f"an element has order above {cap}")
+        y = mul(y, x)
+        walk.append(y)
+    return walk
 
 
-def _conic_perm_orders(H, plane):
-    """Element orders via cycle types of the action on the conic points."""
-    field = plane.field
-    conic = plane.conic_points
-    idx = {pt: i for i, pt in enumerate(conic)}
-    orders = []
-    for m in _element_iter(H):
-        perm = [idx[plane.normalize(mat_vec(field, m, pt))] for pt in conic]
-        seen = [False] * len(perm)
-        order = 1
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            order = order * length // math.gcd(order, length)
-        orders.append(order)
+def element_orders(e, mul, elems, cap) -> list:
+    """Orders of elems (a closed set), walking each cyclic subgroup once.
+
+    x^k has order m / gcd(m, k) when x has order m, so one powers() walk
+    gives the order of every element it passes.
+    """
+    index = {x: i for i, x in enumerate(elems)}
+    orders = [0] * len(elems)
+    for i, x in enumerate(elems):
+        if orders[i]:
+            continue
+        walk = powers(e, mul, x, cap)
+        m = len(walk)
+        for k, y in enumerate(walk, 1):
+            orders[index[y]] = m // math.gcd(m, k)
     return orders
 
 
@@ -218,16 +224,11 @@ def is_dihedral(e, mul, elems, orders) -> bool:
     h = next((x for x, o in zip(elems, orders) if o == m), None)
     if h is None:
         return False
-    cyc = {e}
-    acc = h
-    while acc != e:
-        cyc.add(acc)
-        acc = mul(acc, h)
-    if len(cyc) != m:
+    walk = powers(e, mul, h, len(elems))
+    if len(walk) != m:
         return False
-    h_inv = e  # h^(m-1)
-    for _ in range(m - 1):
-        h_inv = mul(h_inv, h)
+    cyc = set(walk)
+    h_inv = walk[-2] if m > 1 else e  # h^(m-1)
     return all(x in cyc or (o == 2 and mul(mul(x, h), x) == h_inv)
                for x, o in zip(elems, orders))
 
@@ -281,6 +282,7 @@ def identify(e, mul, elems, orders, field: Field) -> GroupId:
 def identify_group(H, field: Field) -> GroupId:
     """Match a closed element set against the possible generated-group types."""
     _verify_closed(field, H)
-    orders = _conic_perm_orders(H, _plane_for(field))
-    return identify(IDENTITY, lambda x, y: mat_mul(field, x, y),
-                    list(_element_iter(H)), orders, field)
+    mul = lambda x, y: mat_mul(field, x, y)
+    elems = list(_element_iter(H))
+    return identify(IDENTITY, mul, elems,
+                    element_orders(IDENTITY, mul, elems, field.q + 1), field)

@@ -69,6 +69,8 @@ def test_usage_errors_exit_2():
                 "[0,1,1];[1,0,0];[0,0,1]"])[0] == 2
     assert run(["geometry", "--p", "5", "--points",
                 "[1,0,0];[0,1,1];[1,1,0]"])[0] == 2  # (1,0,0) is on the conic
+    assert run(["geometry", "--p", "5", "--points",
+                "[1,0,1];[2,0,2];[0,1,0]"])[0] == 2  # [1,0,1] and [2,0,2] are one point
 
 
 def test_budget_exceeded_exit_3():

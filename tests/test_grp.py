@@ -12,9 +12,11 @@ from conictopes.grp import (
     ElementSet,
     NotClosed,
     closure,
+    element_orders,
     identify_group,
     intersect,
     line_stabilizer,
+    powers,
     set_product,
 )
 from conictopes.perspectivity import (
@@ -26,7 +28,7 @@ from conictopes.perspectivity import (
     mat_order,
     product_order,
 )
-from conictopes.plane import SECANT, TANGENT
+from conictopes.plane import SECANT, TANGENT, GeometryError
 from conictopes.triangles import construct_tangent_triangle
 
 
@@ -190,6 +192,20 @@ def test_identify_tangent_triangles():
     pl5 = plane(5)
     rec5 = construct_tangent_triangle(pl5, *pl5.conic_points[:3])
     assert rec5.group_id.label == "PSL(2,5)" and rec5.group_id.order == 60
+
+
+def test_element_orders_match_mat_order():
+    for p, n in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
+        F = field(p, n)
+        G = full_group(p, n).elements
+        orders = element_orders(IDENTITY, lambda x, y: mat_mul(F, x, y), G, F.q + 1)
+        assert orders == [mat_order(F, m) for m in G]
+
+
+def test_powers_past_cap_is_a_geometry_error():
+    assert powers(0, lambda x, y: (x + y) % 4, 1, cap=4) == [1, 2, 3, 0]
+    with pytest.raises(GeometryError):
+        powers(0, lambda x, y: x + y, 1, cap=50)
 
 
 def test_identify_full_groups():
