@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from conictopes.gf import Field
-from conictopes.grp import ElementSet, closure
+from conictopes.grp import DEFAULT_CLOSURE_CAP, ElementSet, closure
 from conictopes.perspectivity import (
     Involution,
     Matrix,
@@ -174,7 +174,8 @@ class TrialityReport:
                 "verified": self.verified}
 
 
-def triality_projectivity_check(field: Field, closure_cap=200_000) -> TrialityReport:
+def triality_projectivity_check(field: Field,
+                                closure_cap=DEFAULT_CLOSURE_CAP) -> TrialityReport:
     """Exhibit the group element realizing the Frobenius action on a
     tangent tau-triangle's subfield group.
 

@@ -142,12 +142,15 @@ class CosetGeometry:
     """Typed coset elements with incidence, over element ids of H.
 
     cosets[i] lists the type-i cosets as sorted tuples of indices into
-    H.elements; incidence holds (type_i, idx_i, type_j, idx_j) with i < j.
+    H.elements, in order of their smallest index; coset_of[i][g] is the
+    type-i coset holding element g; incidence holds (type_i, idx_i, type_j,
+    idx_j) with i < j.
     """
 
     types: tuple = (0, 1, 2)
     cosets: list = dc_field(default_factory=list)
     incidence: list = dc_field(default_factory=list)
+    coset_of: list = dc_field(default_factory=list)
 
     @property
     def counts(self):
@@ -170,107 +173,81 @@ class CosetGeometry:
 
 
 def build_coset_geometry(field, H: ElementSet, H0, H1, H2) -> CosetGeometry:
-    """Full typed coset lists and incidence pairs for Gamma(H, (H0, H1, H2))."""
-    subgroup_sets = []
+    """Full typed coset lists and incidence pairs for Gamma(H, (H0, H1, H2)).
+
+    One walk over H per type: the first element in no coset yet is the
+    smallest index of H_i * g, so the cosets open in order of that index.
+    """
+    index = {m: i for i, m in enumerate(H.elements)}
+    cosets = []
+    coset_of = []  # per type: element index -> coset index
     for Hi in (H0, H1, H2):
         s = Hi.eset if isinstance(Hi, ElementSet) else frozenset(Hi)
         if not s <= H.eset:
             raise SubgroupNotContained("H_i must be a subset of H")
-        subgroup_sets.append(s)
-    index = {m: i for i, m in enumerate(H.elements)}
-    cosets = []
-    coset_of = []  # per type: element index -> coset index
-    for s in subgroup_sets:
-        assignment = {}
-        classes = {}
-        for g in H.elements:
-            key = min(index[mat_mul(field, h, g)] for h in s)
-            assignment[index[g]] = key
-            classes.setdefault(key, set()).add(index[g])
-        ordered = sorted(classes)
-        remap = {key: i for i, key in enumerate(ordered)}
-        cosets.append([tuple(sorted(classes[key])) for key in ordered])
-        coset_of.append([remap[assignment[i]] for i in range(len(H.elements))])
-    incidence = set()
-    for gi in range(len(H.elements)):
-        for ti in range(3):
-            for tj in range(ti + 1, 3):
-                incidence.add((ti, coset_of[ti][gi], tj, coset_of[tj][gi]))
-    return CosetGeometry(cosets=cosets, incidence=sorted(incidence))
+        of = [-1] * len(H.elements)
+        classes = []
+        for gi, g in enumerate(H.elements):
+            if of[gi] < 0:
+                members = sorted(index[mat_mul(field, h, g)] for h in s)
+                for x in members:
+                    of[x] = len(classes)
+                classes.append(tuple(members))
+        cosets.append(classes)
+        coset_of.append(of)
+    incidence = {(ti, coset_of[ti][g], tj, coset_of[tj][g])
+                 for g in range(len(H.elements))
+                 for ti, tj in ((0, 1), (0, 2), (1, 2))}
+    return CosetGeometry(cosets=cosets, incidence=sorted(incidence),
+                         coset_of=coset_of)
+
+
+def _incidence_graph(geometry: CosetGeometry) -> dict:
+    """{(type, index): set of incident (type, index)} over every coset."""
+    adj = {(t, c): set() for t in geometry.types
+           for c in range(len(geometry.cosets[t]))}
+    for (ti, ci, tj, cj) in geometry.incidence:
+        adj[(ti, ci)].add((tj, cj))
+        adj[(tj, cj)].add((ti, ci))
+    return adj
+
+
+def _residue(adj, u) -> dict:
+    """The residue of u: its neighbours and the incidences among them."""
+    return {v: adj[v] & adj[u] for v in adj[u]}
 
 
 def graph_oracle(geometry: CosetGeometry, H: ElementSet) -> CriteriaReport:
     """Independent incidence-graph verdicts on the same three criteria."""
-    counts = geometry.counts
-    # neighbour bitmasks per type pair
-    nbr = {(ti, tj): [0] * counts[ti] for ti in range(3) for tj in range(3) if ti != tj}
-    for (ti, ci, tj, cj) in geometry.incidence:
-        nbr[(ti, tj)][ci] |= 1 << cj
-        nbr[(tj, ti)][cj] |= 1 << ci
+    adj = _incidence_graph(geometry)
     witnesses = {}
 
+    # the rank-1 residue of a flag {u, v} is the third-type nodes on both
     thin = True
     for (ti, ci, tj, cj) in geometry.incidence:
-        tk = 3 - ti - tj
-        common = nbr[(ti, tk)][ci] & nbr[(tj, tk)][cj]
-        size = common.bit_count()
+        size = len(adj[(ti, ci)] & adj[(tj, cj)])
         if size != 2:
             thin = False
             if len(witnesses.setdefault("thin", [])) < 3:
                 witnesses["thin"].append(
                     {"flag": (ti, ci, tj, cj), "residue_size": size})
 
-    # connectivity of the whole incidence graph
-    total = sum(counts)
-    offsets = [0, counts[0], counts[0] + counts[1]]
-    adj = [set() for _ in range(total)]
-    for (ti, ci, tj, cj) in geometry.incidence:
-        u, v = offsets[ti] + ci, offsets[tj] + cj
-        adj[u].add(v)
-        adj[v].add(u)
-    rc = _connected(adj, range(total))
+    rc = _connected(adj)
     if not rc:
         witnesses.setdefault("rc", []).append({"scope": "incidence graph"})
-    # rank-2 residues: the residue of each single element must be connected
-    if rc:
-        inc_pairs = {(ti, tj): set() for ti in range(3) for tj in range(3) if ti != tj}
-        for (ti, ci, tj, cj) in geometry.incidence:
-            inc_pairs[(ti, tj)].add((ci, cj))
-            inc_pairs[(tj, ti)].add((cj, ci))
-        for ti in range(3):
-            tj, tk = [x for x in range(3) if x != ti]
-            for ci in range(counts[ti]):
-                side_j = [cj for cj in range(counts[tj])
-                          if nbr[(ti, tj)][ci] >> cj & 1]
-                side_k = [ck for ck in range(counts[tk])
-                          if nbr[(ti, tk)][ci] >> ck & 1]
-                ladj = {("j", c): set() for c in side_j}
-                ladj.update({("k", c): set() for c in side_k})
-                for cj in side_j:
-                    for ck in side_k:
-                        if (cj, ck) in inc_pairs[(tj, tk)]:
-                            ladj[("j", cj)].add(("k", ck))
-                            ladj[("k", ck)].add(("j", cj))
-                if ladj and not _connected(ladj, ladj.keys()):
-                    rc = False
-                    witnesses.setdefault("rc", []).append(
-                        {"scope": "residue", "element": (ti, ci)})
+    else:
+        # rank-2 residues: the residue of each single element must be connected
+        for u in adj:
+            if not _connected(_residue(adj, u)):
+                rc = False
+                witnesses.setdefault("rc", []).append(
+                    {"scope": "residue", "element": u})
 
     # flag-transitivity: chambers versus the orbit of the base chamber
-    chambers = 0
-    for (ti, ci, tj, cj) in geometry.incidence:
-        if (ti, tj) != (0, 1):
-            continue
-        chambers += (nbr[(0, 2)][ci] & nbr[(1, 2)][cj]).bit_count()
-    coset_of = []
-    for t in range(3):
-        lookup = {}
-        for cidx, coset in enumerate(geometry.cosets[t]):
-            for eid in coset:
-                lookup[eid] = cidx
-        coset_of.append(lookup)
-    orbit = {tuple(coset_of[t][eid] for t in range(3))
-             for eid in range(len(H.elements))}
+    chambers = sum(len(adj[(0, ci)] & adj[(1, cj)])
+                   for (ti, ci, tj, cj) in geometry.incidence if (ti, tj) == (0, 1))
+    orbit = {tuple(of[g] for of in geometry.coset_of)
+             for g in range(len(H.elements))}
     ft = chambers == len(orbit)
     if not ft:
         witnesses.setdefault("ft", []).append(
@@ -279,9 +256,8 @@ def graph_oracle(geometry: CosetGeometry, H: ElementSet) -> CriteriaReport:
                           flag_transitive=ft, witnesses=witnesses)
 
 
-def _connected(adj, vertices) -> bool:
-    verts = list(vertices)
-    return not verts or len(_distances(adj, verts[0])) == len(verts)
+def _connected(adj) -> bool:
+    return not adj or len(_distances(adj, next(iter(adj)))) == len(adj)
 
 
 def _distances(adj, start) -> dict:
@@ -337,28 +313,15 @@ def diagram(plane: Plane, a0: Involution, a1: Involution, a2: Involution,
     if geometry is None:
         return report
     report.element_counts = geometry.counts
-    nbr = {(ti, tj): [set() for _ in range(geometry.counts[ti])]
-           for ti in range(3) for tj in range(3) if ti != tj}
-    for (ti, ci, tj, cj) in geometry.incidence:
-        nbr[(ti, tj)][ci].add(cj)
-        nbr[(tj, ti)][cj].add(ci)
+    adj = _incidence_graph(geometry)
     params = {}
     for tk in range(3):
         ti, tj = [x for x in range(3) if x != tk]
-        base = 0  # the coset H_k itself (contains the identity)
-        side_i = sorted(nbr[(tk, ti)][base])
-        side_j = sorted(nbr[(tk, tj)][base])
-        verts = [(ti, c) for c in side_i] + [(tj, c) for c in side_j]
-        vset = set(verts)
-        adj = {v: set() for v in verts}
-        for ci in side_i:
-            for cj in nbr[(ti, tj)][ci]:
-                if (tj, cj) in vset:
-                    adj[(ti, ci)].add((tj, cj))
-                    adj[(tj, cj)].add((ti, ci))
-        d_p = max((max(_distances(adj, (ti, c)).values()) for c in side_i), default=0)
-        d_l = max((max(_distances(adj, (tj, c)).values()) for c in side_j), default=0)
-        params[(ti, tj)] = (d_p, _girth(adj) // 2, d_l)
+        # the base coset H_k itself (contains the identity)
+        res = _residue(adj, (tk, 0))
+        ecc = {t: max((max(_distances(res, v).values()) for v in res if v[0] == t),
+                      default=0) for t in (ti, tj)}
+        params[(ti, tj)] = (ecc[ti], _girth(res) // 2, ecc[tj])
     report.residue_params = params
     return report
 

@@ -42,7 +42,14 @@ from itertools import chain, combinations, islice
 from conictopes.engine import Engine, engine_for
 from conictopes.geom import CriteriaReport, coset_criteria, edge_labels, pair_subgroups
 from conictopes.gf import Field
-from conictopes.grp import BudgetExceeded, ElementSet, GroupId, closure, identify_group
+from conictopes.grp import (
+    DEFAULT_CLOSURE_CAP,
+    BudgetExceeded,
+    ElementSet,
+    GroupId,
+    closure,
+    identify_group,
+)
 from conictopes.perspectivity import (
     IDENTITY,
     Involution,
@@ -157,7 +164,8 @@ def _side_of(plane: Plane, subgroup_eset) -> frozenset:
     return frozenset(centers)
 
 
-def classify_triangle(plane: Plane, P, Q, R, closure_cap=200_000) -> TriangleRecord:
+def classify_triangle(plane: Plane, P, Q, R,
+                      closure_cap=DEFAULT_CLOSURE_CAP) -> TriangleRecord:
     """Full geometric classification of one triple of off-conic points."""
     pts = tuple(plane.normalize(x) for x in (P, Q, R))
     if len(set(pts)) != 3:
@@ -215,7 +223,7 @@ def tangent_centers(plane: Plane, A, B, C) -> tuple:
 
 
 def construct_tangent_triangle(plane: Plane, A, B, C,
-                               closure_cap=200_000) -> TriangleRecord:
+                               closure_cap=DEFAULT_CLOSURE_CAP) -> TriangleRecord:
     """Triangle of the three tangent lines at distinct conic points A, B, C."""
     pts = tuple(plane.normalize(x) for x in (A, B, C))
     if any(not plane.on_conic(x) for x in pts):
@@ -226,7 +234,8 @@ def construct_tangent_triangle(plane: Plane, A, B, C,
                              closure_cap=closure_cap)
 
 
-def construct_nonlinear_pgl(field: Field, closure_cap=2_000_000) -> TriangleRecord:
+def construct_nonlinear_pgl(field: Field,
+                            closure_cap=DEFAULT_CLOSURE_CAP) -> TriangleRecord:
     """Deterministic construction of a full-group hypertope with no label 2.
 
     Scans canonically for a non-PSL involution alpha_P, a non-tangent line l

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and report serialization."""
 
+import hashlib
 import json
 import re
 
@@ -197,6 +198,24 @@ def test_geometry_json_schema():
     assert report["types"] == [0, 1, 2]
     assert len(report["counts"]) == 3
     assert all(len(row) == 4 for row in report["incidence"])
+
+
+def test_geometry_report_bytes_pinned():
+    # (points, p) -> {format: (bytes, sha256)} of the geometry report
+    pinned = {
+        ("[0,1,1];[1,0,1];[1,1,0]", "3"): {
+            "json": (349, "21ce33a3a37ab14722f2bf49c05d18cfcd33f7a163a98ba9e3abfe7293623fc4"),
+            "dot": (866, "f721847e7825ffae7813495014f8b32b2452dc68dc860e65d71fe71d4107c006")},
+        ("[1,2,0];[0,1,1];[1,0,3]", "7"): {
+            "json": (5820, "7884d3b23207c968c96e14da10db1df9df30c3c314438259f7730fe211353918"),
+            "dot": (13831, "64705e927208bd3215c2977d8f0bac611d49250e13ecc95ab6e40fa2b247bb72")},
+    }
+    for (points, p), formats in pinned.items():
+        for fmt, (size, digest) in formats.items():
+            code, out = run(["geometry", "--p", p, "--points", points, "--format", fmt])
+            data = out.encode()
+            assert code == 0
+            assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), (p, fmt)
 
 
 def test_atomic_write(tmp_path):

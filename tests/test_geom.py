@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import field, plane
+from helpers import field, full_group, plane
 
 from conictopes.geom import (
     SubgroupNotContained,
@@ -13,9 +13,10 @@ from conictopes.geom import (
     check_hypertope_criteria,
     diagram,
     graph_oracle,
+    pair_subgroups,
 )
 from conictopes.grp import closure
-from conictopes.perspectivity import involution_from_center
+from conictopes.perspectivity import IDENTITY, involution_from_center
 from conictopes.triangles import construct_tangent_triangle
 
 
@@ -108,6 +109,24 @@ def test_oracle_agrees_on_sampled_triangles(p, n):
         orc = graph_oracle(build_coset_geometry(pl.field, H, *Hs), H)
         assert crit.bits() == orc.bits(), pts
         checked += 1
+
+
+def test_oracle_rc_failures_q5():
+    # rc holds on every geometry of a triple at q = 3 and 5; these two
+    # geometries fail it on the whole incidence graph and on a residue
+    pl = plane(5)
+    F = pl.field
+    pts = [pl.normalize(x) for x in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
+    invs = [involution_from_center(pl, P) for P in pts]
+    H = closure(F, invs)
+    assert len(H) == 60
+    G = full_group(5)
+    orc = graph_oracle(build_coset_geometry(F, G, *pair_subgroups(pl, invs)), G)
+    assert orc.bits() == (True, False, True)
+    assert orc.witnesses["rc"] == [{"scope": "incidence graph"}]
+    orc = graph_oracle(build_coset_geometry(F, H, H, [IDENTITY], [IDENTITY]), H)
+    assert orc.bits() == (False, False, True)
+    assert orc.witnesses["rc"] == [{"scope": "residue", "element": (0, 0)}]
 
 
 def count_chambers(geo):

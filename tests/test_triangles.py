@@ -1,5 +1,6 @@
 """Triangle classification, constructions, and the sweep machinery."""
 
+import inspect
 import random
 import re
 from itertools import combinations
@@ -8,7 +9,7 @@ import pytest
 
 from helpers import field, plane
 
-from conictopes import triangles
+from conictopes import cli, triangles
 from conictopes.engine import engine_for
 from conictopes.grp import closure
 from conictopes.perspectivity import in_psl, involution_from_center
@@ -217,7 +218,7 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_engine_matches_matrix_classification():
-    for p, n in ((5, 1), (3, 2)):
+    for p, n in ((5, 1), (3, 2), (7, 1), (11, 1), (13, 1)):
         F = field(p, n)
         eng = engine_for(F)
         pl = eng.plane
@@ -305,6 +306,19 @@ def test_nonlinear_pgl_q5():
     assert rec.group_id.label == "PGL(2,5)"
     assert rec.hypertope
     assert all(v > 2 for v in rec.labels.values())
+
+
+def test_library_closure_caps_match_the_cli():
+    # a PGL(2,q) with q >= 59 has more than 200,000 elements
+    from conictopes.corr import triality_projectivity_check
+    from conictopes.grp import DEFAULT_CLOSURE_CAP
+
+    for fn in (classify_triangle, construct_tangent_triangle,
+               construct_nonlinear_pgl, triality_projectivity_check):
+        default = inspect.signature(fn).parameters["closure_cap"].default
+        assert default == DEFAULT_CLOSURE_CAP, fn.__name__
+    args = cli.build_parser().parse_args(["classify", "--p", "59"])
+    assert args.budget == DEFAULT_CLOSURE_CAP
 
 
 def test_nonlinear_pgl_exhausts_at_q3():
