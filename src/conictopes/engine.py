@@ -2,13 +2,14 @@
 
 The enumeration core works on integer ids throughout: points and lines are
 indexed by their position in the lexicographic canonical order, group
-elements by discovery order of a breadth-first closure of the whole conic
-stabilizer.  Each table is built once, as the Python list the per-triple
-path reads: a verdict touches a few hundred entries, so plain indexing is
-the fast form.  The line through two points comes from one cross product,
-and incidence is read off those lines.  The Cayley table is read off the
-breadth-first (Schreier) tree: row x is row parent(x) permuted by a
-generator's left multiplication.
+elements by discovery order of a breadth-first closure of PGL(2,q) on
+canonical 2x2 tuples; elements lists their sym2 images, the conic
+stabilizer's canonical matrices.  Each table is built once, as the Python
+list the per-triple path reads: a verdict touches a few hundred entries, so
+plain indexing is the fast form.  The line through two points comes from
+one cross product, and incidence is read off those lines.  The Cayley table
+is read off the breadth-first (Schreier) tree: row x is row parent(x)
+permuted by a generator's left multiplication.
 H_i & (H_j * H_k) is a loop over H_i that keeps g when h*g lies in H_k for
 some h in H_j, and the closure of <alpha_0, alpha_1, alpha_2> walks the
 right cosets of <alpha_0, alpha_1> (a Schreier graph on cosets) instead of
@@ -27,25 +28,30 @@ from operator import itemgetter
 
 from conictopes.gf import Field
 from conictopes.grp import GroupId, element_orders, identify, powers
-from conictopes.perspectivity import IDENTITY, involution_from_center, mat_mul, mat_vec
+from conictopes.perspectivity import (
+    involution_from_center,
+    mat_mul,  # unused here; kept as engine.mat_mul, a name perfbench's tracer wraps
+    mat_vec,
+    pgl2_mul,
+    sym2,
+)
 from conictopes.plane import GeometryError, Plane
 
 MAX_ENGINE_Q = 13
 
 
-def conic_stabilizer_generators(field: Field):
-    """Three canonical matrices generating the conic stabilizer.
+def pgl2_generators(field: Field):
+    """Three canonical 2x2 tuples generating PGL(2,q).
 
-    Images of the conic parameter t are t+1, lambda*t and 1/t for a
-    primitive lambda, which generate the whole group.
+    (a, b, c, d) maps the conic parameter t to (c + d*t)/(a + b*t), so these
+    are t+1, lambda*t and 1/t for a primitive lambda.
     """
-    lam = field.generator
-    lam2 = field.mul(lam, lam)
-    two = field.add(1, 1)
-    t = (1, 0, 0, 1, 1, 0, 1, two, 1)
-    d = (1, 0, 0, 0, lam, 0, 0, 0, lam2)
-    s = (0, 0, 1, 0, 1, 0, 1, 0, 0)
-    return t, d, s
+    return (1, 0, 1, 1), (1, 0, 0, field.generator), (0, 1, 1, 0)
+
+
+def conic_stabilizer_generators(field: Field):
+    """Three canonical matrices generating the conic stabilizer: sym2 of pgl2_generators."""
+    return tuple(sym2(field, g) for g in pgl2_generators(field))
 
 
 @dataclass(frozen=True)
@@ -124,43 +130,43 @@ class Engine:
     # -- group tables ---------------------------------------------------------
 
     def _build_group_tables(self):
-        """Elements by a breadth-first walk, then the Cayley table off its tree.
+        """Elements by a breadth-first walk on 2x2 tuples, then the Cayley table off its tree.
 
         Element x is parent[x] * gens[gen_of[x]], with parent[x] < x, so
         g * x = (g * parent[x]) * gens[gen_of[x]] gives each generator's left
         multiplication, and x * y = parent[x] * (gens[gen_of[x]] * y) gives
         row x of the Cayley table as row parent[x] read at the ids g * y.
+        sym2 is a homomorphism, so the walk visits the matrices in the order
+        a walk on sym2 of the generators would.
         """
         F, q = self.field, self.q
-        gens = conic_stabilizer_generators(F)
+        gens = pgl2_generators(F)
         order = q**3 - q
-        elements = [IDENTITY]
-        index = {IDENTITY: 0}
+        walk = [(1, 0, 0, 1)]
+        index = {walk[0]: 0}
         parent = [0]
         gen_of = [0]
-        right = [None] * order  # right[x] = ids of x * g for the three generators
-        frontier = [0]
-        while frontier:
-            new = []
-            for xi in frontier:
-                x = elements[xi]
-                row = []
-                for gi, g in enumerate(gens):
-                    y = mat_mul(F, x, g)
-                    if y not in index:
-                        index[y] = len(elements)
-                        elements.append(y)
-                        parent.append(xi)
-                        gen_of.append(gi)
-                        new.append(index[y])
-                    row.append(index[y])
-                right[xi] = row
-            frontier = new
-        if len(elements) != order:
-            raise GeometryError(f"the generators give {len(elements)} elements, "
+        right = []  # right[x] = ids of x * g for the three generators
+        for x in walk:  # grows while it is read
+            row = []
+            for gi, g in enumerate(gens):
+                y = pgl2_mul(F, x, g)
+                yi = index.get(y)
+                if yi is None:
+                    yi = index[y] = len(walk)
+                    walk.append(y)
+                    parent.append(len(right))
+                    gen_of.append(gi)
+                row.append(yi)
+            right.append(row)
+        if len(walk) != order:
+            raise GeometryError(f"the generators give {len(walk)} elements, "
                                 f"not |PGL(2,{q})| = {order}")
-        self.elements = elements
-        self.elt_index = index
+        self.elements = [sym2(F, x) for x in walk]
+        self.elt_index = {m: i for i, m in enumerate(self.elements)}
+        if len(self.elt_index) != order:
+            raise GeometryError(f"sym2 gives {len(self.elt_index)} distinct matrices, "
+                                f"not {order}")
         self.n_group = order
 
         left = []  # left[g][y] = id of gens[g] * y
@@ -174,7 +180,8 @@ class Engine:
         for x in range(1, order):
             mul.append(left[gen_of[x]](mul[parent[x]]))
         self.mul_l = mul
-        self.orders_l = element_orders(0, lambda x, y: mul[x][y], range(order), q + 1)
+        orders = self.orders_l = element_orders(0, lambda x, y: mul[x][y], range(order), q + 1)
+        self._full_stats = (order, orders.count(2), max(orders))
 
     def _build_involution_tables(self):
         inv_elt = [-1] * self.n_points
@@ -184,7 +191,7 @@ class Engine:
             eid = self.elt_index[a.matrix]
             inv_elt[pid] = eid
             center_pt[eid] = pid
-        if self.orders_l.count(2) != self.q**2:
+        if self._full_stats[1] != self.q**2:
             raise GeometryError(f"PGL(2,{self.q}) must have q^2 involutions")
         if self.n_group - center_pt.count(-1) != self.q**2:
             raise GeometryError("off-conic points and involutions must correspond")
@@ -283,7 +290,9 @@ class Engine:
 
     def group_stats(self, ids):
         """(order, number of involutions, largest element order); None is the whole group."""
-        ords = self.orders_l if ids is None else [self.orders_l[x] for x in ids]
+        if ids is None:
+            return self._full_stats
+        ords = [self.orders_l[x] for x in ids]
         return len(ords), ords.count(2), max(ords)
 
     def identify_ids(self, ids) -> GroupId:

@@ -39,7 +39,7 @@ from conictopes.plane import Plane
 
 
 class SubgroupNotContained(ValueError):
-    """build_coset_geometry needs H_i subsets of H."""
+    """build_coset_geometry needs each H_i to be a subgroup of H."""
 
 
 @dataclass
@@ -94,6 +94,8 @@ def coset_criteria(e, mul, gens, subgroups, sp_intersect=None) -> CriteriaReport
             witnesses.setdefault("rc", []).append(
                 {"index": i, "generated": len(generated), "subgroup": len(Hs[i])})
 
+    # H_i & H_k*H_j and (H_i&H_k)(H_i&H_j) are the inverses of the sets the
+    # (i; j, k) check compares, so (i; k, j) runs only when that check fails
     ft = True
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
@@ -110,6 +112,8 @@ def coset_criteria(e, mul, gens, subgroups, sp_intersect=None) -> CriteriaReport
                 witnesses.setdefault("ft", []).append(
                     {"triple": (i, jj, kk), "lhs": len(lhs), "rhs": len(rhs),
                      "element": sample})
+            else:
+                break
     return CriteriaReport(thin=ip and ft, residually_connected=rc,
                           flag_transitive=ft, intersection_property=ip,
                           witnesses=witnesses)
@@ -185,6 +189,8 @@ def build_coset_geometry(field, H: ElementSet, H0, H1, H2) -> CosetGeometry:
         s = Hi.eset if isinstance(Hi, ElementSet) else frozenset(Hi)
         if not s <= H.eset:
             raise SubgroupNotContained("H_i must be a subset of H")
+        if not s or any(mat_mul(field, x, y) not in s for x in s for y in s):
+            raise SubgroupNotContained("H_i must be closed under products")
         of = [-1] * len(H.elements)
         classes = []
         for gi, g in enumerate(H.elements):
@@ -218,7 +224,13 @@ def _residue(adj, u) -> dict:
 
 
 def graph_oracle(geometry: CosetGeometry, H: ElementSet) -> CriteriaReport:
-    """Independent incidence-graph verdicts on the same three criteria."""
+    """Independent incidence-graph verdicts on the same three criteria.
+
+    H must be the group the geometry was built on; only its order is read.
+    """
+    order = len(geometry.coset_of[0])
+    if len(H) != order:
+        raise ValueError(f"H has {len(H)} elements, the geometry's group {order}")
     adj = _incidence_graph(geometry)
     witnesses = {}
 
@@ -246,8 +258,7 @@ def graph_oracle(geometry: CosetGeometry, H: ElementSet) -> CriteriaReport:
     # flag-transitivity: chambers versus the orbit of the base chamber
     chambers = sum(len(adj[(0, ci)] & adj[(1, cj)])
                    for (ti, ci, tj, cj) in geometry.incidence if (ti, tj) == (0, 1))
-    orbit = {tuple(of[g] for of in geometry.coset_of)
-             for g in range(len(H.elements))}
+    orbit = {tuple(of[g] for of in geometry.coset_of) for g in range(order)}
     ft = chambers == len(orbit)
     if not ft:
         witnesses.setdefault("ft", []).append(

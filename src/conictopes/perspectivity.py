@@ -13,6 +13,10 @@ to the conic's bilinear form,
 which has order 2 as a matrix, fixes the conic, fixes polar(P) pointwise and
 fixes every line through P.  Its axis is polar(P), and the map P -> alpha_P
 is a bijection between off-conic points and involutions of the stabilizer.
+
+The stabilizer is PGL(2,q) acting on the conic through (s:t) -> (s^2, st, t^2).
+pgl2_mul multiplies its elements as canonical 2x2 tuples on the field's
+tables, and sym2 is the one map from a 2x2 tuple to its 3x3 projectivity.
 """
 
 from __future__ import annotations
@@ -73,6 +77,40 @@ def mat_vec(field, m, v):
         add(add(mul[m[3]][x0], mul[m[4]][x1]), mul[m[5]][x2]),
         add(add(mul[m[6]][x0], mul[m[7]][x1]), mul[m[8]][x2]),
     )
+
+
+def pgl2_mul(field, x, y):
+    """Product of canonical 2x2 tuples (a, b, c, d), rows (a, b) and (c, d).
+
+    Canonical means first nonzero entry 1, as for matrices; only the field's
+    mul_t, add_t and inv_t tables are read.
+    """
+    mul, add = field.mul_t, field.add_t
+    a, b, c, d = x
+    e, f, g, h = y
+    ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
+    r0, r1 = add[ma[e]][mb[g]], add[ma[f]][mb[h]]
+    r2, r3 = add[mc[e]][md[g]], add[mc[f]][md[h]]
+    lead = r0 or r1  # an invertible product has a nonzero first row
+    if lead == 1:
+        return r0, r1, r2, r3
+    s = mul[field.inv_t[lead]]
+    return s[r0], s[r1], s[r2], s[r3]
+
+
+def sym2(field, g) -> Matrix:
+    """The conic-stabilizer projectivity of the canonical 2x2 tuple g.
+
+    (s, t) -> (as + bt, cs + dt) moves the conic point (s^2, st, t^2) by the
+    rows (a^2, 2ab, b^2), (ac, ad + bc, bd), (c^2, 2cd, d^2).  The image of a
+    canonical g starts with a^2 = 1, or with 0, 0, b^2 = 1, so it is canonical.
+    """
+    mul, add = field.mul_t, field.add_t
+    a, b, c, d = g
+    ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
+    return (ma[a], ma[add[b][b]], mb[b],
+            ma[c], add[ma[d]][mb[c]], mb[d],
+            mc[c], mc[add[d][d]], md[d])
 
 
 def mat_adjugate(field, m) -> Matrix:

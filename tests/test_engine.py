@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import field
+from helpers import field, full_group, stabilizer_m
 
 import conictopes
-from conictopes.engine import engine_for
+from conictopes.engine import engine_for, pgl2_generators
 from conictopes.geom import coset_criteria
-from conictopes.perspectivity import mat_mul, mat_order
+from conictopes.grp import generate
+from conictopes.perspectivity import mat_mul, mat_order, pgl2_mul, sym2
 from conictopes.triangles import _orbit_reps, _sweep_triple
 
 FIELDS = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1))
@@ -51,6 +52,33 @@ def _orbit(perms, tri) -> set:
     return orbit
 
 
+def _pgl2(F):
+    """PGL(2,q) as canonical 2x2 tuples, by a walk on the engine's generators."""
+    return generate((1, 0, 0, 1), lambda x, y: pgl2_mul(F, x, y), pgl2_generators(F))
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_sym2_is_a_homomorphism(p, n):
+    # checked on x * g for every x and generator g, this makes sym2 a
+    # homomorphism on the group the generators span
+    F = field(p, n)
+    walk = _pgl2(F)
+    assert len(walk) == F.q**3 - F.q
+    for x in walk:
+        for g in pgl2_generators(F):
+            assert sym2(F, pgl2_mul(F, x, g)) == mat_mul(F, sym2(F, x), sym2(F, g))
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_sym2_image_is_the_conic_stabilizer(p, n):
+    F = field(p, n)
+    walk = _pgl2(F)
+    image = [sym2(F, x) for x in walk]
+    assert image == [stabilizer_m(F, *x) for x in walk]
+    assert set(image) == full_group(p, n).eset
+    assert engine_for(F).elements == list(full_group(p, n).elements)
+
+
 @pytest.mark.parametrize("p,n", FIELDS)
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
@@ -75,6 +103,26 @@ def test_coset_walk_and_sp_intersect_match_references(p, n, data):
                           sp_intersect=eng.sp_intersect)
     plain = coset_criteria(0, lambda x, y: mul[x][y], gens, Hs)
     assert fast == plain  # the four bits and every witness
+
+
+@pytest.mark.parametrize("p,n", FIELDS[1:5])
+def test_mirrored_flag_transitivity_checks_agree(p, n):
+    # coset_criteria runs the (i; k, j) check only when (i; j, k) fails; one
+    # triple per orbit covers every triple, as conjugation keeps both checks
+    eng = engine_for(field(p, n))
+    mul = eng.mul_l
+    failed = 0
+    for (c0, c1, c2), _ in _orbit_reps(eng, eng.off_conic_ids):
+        Hs = (eng.pair(c1, c2).eset, eng.pair(c0, c2).eset, eng.pair(c0, c1).eset)
+
+        def holds(i, j, k):
+            lhs = Hs[i] & {mul[x][y] for x in Hs[j] for y in Hs[k]}
+            return lhs == {mul[x][y] for x in Hs[i] & Hs[j] for y in Hs[i] & Hs[k]}
+
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            assert holds(i, j, k) == holds(i, k, j)
+            failed += not holds(i, j, k)
+    assert failed
 
 
 @pytest.mark.parametrize("p,n", FIELDS[:4])

@@ -95,6 +95,31 @@ def test_subgroup_not_contained():
         build_coset_geometry(F, H01, H01, H01, stranger)
 
 
+def _q5_triple():
+    pl = plane(5)
+    pts = [pl.normalize(x) for x in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
+    invs, H, Hs = triple_setup(pl, pts)
+    assert len(H) == 60
+    return pl.field, invs, H, Hs
+
+
+def test_non_subgroup_rejected():
+    # {e, a0, a1} is not closed, and its translates overlapped in 29 "cosets"
+    F, invs, H, Hs = _q5_triple()
+    with pytest.raises(SubgroupNotContained, match="closed"):
+        build_coset_geometry(F, H, [IDENTITY, invs[0].matrix, invs[1].matrix],
+                             Hs[1], Hs[2])
+
+
+def test_oracle_rejects_a_group_other_than_the_geometry_s():
+    # <a0, a1> once read flag-transitive False: 60 chambers against 10 translates
+    F, invs, H, Hs = _q5_triple()
+    geo = build_coset_geometry(F, H, *Hs)
+    assert graph_oracle(geo, H).bits() == (True, True, True)
+    with pytest.raises(ValueError, match="geometry's group"):
+        graph_oracle(geo, closure(F, invs[:2]))
+
+
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1)])
 def test_oracle_agrees_on_sampled_triangles(p, n):
     pl = plane(p, n)

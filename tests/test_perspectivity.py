@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import field, full_group, plane, psl_subgroup
 
@@ -91,6 +93,16 @@ def test_center_axis_roundtrip_q5():
         a = involution_from_center(pl, P)
         c, ax = center_axis(pl, a.matrix)
         assert c == P and ax == pl.polar(P)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_center_axis_inverts_involution_from_center(data):
+    p, n = data.draw(st.sampled_from(((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
+                                      (17, 1), (19, 1), (23, 1), (5, 2), (3, 3))))
+    pl = plane(p, n)
+    P = data.draw(st.sampled_from(pl.off_conic_points))
+    assert center_axis(pl, involution_from_center(pl, P).matrix)[0] == P
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
