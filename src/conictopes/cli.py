@@ -106,8 +106,6 @@ def _check_numeric_flags(args):
         raise ParseError(f"--sample must be >= 0, got {args.sample}")
     if args.budget < 1:
         raise ParseError(f"--budget must be >= 1, got {args.budget}")
-    if args.jobs < 1:
-        raise ParseError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def _field_from_args(args) -> Field:
@@ -141,23 +139,19 @@ def _cmd_classify(args, field):
 def _check_sweep_flags(args):
     if args.mode == "sample" and args.sample is None:
         raise ParseError("sample mode needs --sample")
-    if args.jobs > 1 and args.mode != "full":
-        raise ParseError(f"--jobs applies to full mode only, not {args.mode}")
 
 
 def _cmd_enumerate(args, field):
     _check_sweep_flags(args)
     table = triangles.enumerate_triples(field, mode=args.mode, sample=args.sample,
-                                        seed=args.seed, jobs=args.jobs,
-                                        budget=args.budget)
+                                        seed=args.seed, budget=args.budget)
     return table, EXIT_OK
 
 
 def _cmd_verify_main(args, field):
     _check_sweep_flags(args)
     table = triangles.verify_main(field, mode=args.mode, sample=args.sample,
-                                  seed=args.seed, jobs=args.jobs,
-                                  budget=args.budget)
+                                  seed=args.seed, budget=args.budget)
     code = EXIT_OK if table.main_violations == 0 else EXIT_VERIFICATION
     return table, code
 
@@ -311,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="full")
         sp.add_argument("--sample", type=int, help="sample size for sample mode")
         sp.add_argument("--seed", type=int, default=0, help="PRNG seed (Mersenne Twister)")
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes for full sweeps")
         sp.add_argument("--budget", type=int, default=grp.DEFAULT_CLOSURE_CAP,
                         help="element budget for closures and sweeps")
         sp.add_argument("--out", help="output path (atomic write); stdout when absent")
@@ -327,7 +320,11 @@ def main(argv=None) -> int:
         field = _field_from_args(args)
         result, code = _COMMANDS[args.command](args, field)
         data = emit_report(result, args.format)
-        write_report(data, args.out)
+        try:
+            write_report(data, args.out)
+        except OSError as exc:
+            target = args.out or "stdout"
+            raise ParseError(f"cannot write {target}: {exc.strerror or exc}") from exc
         return code
     except (ParseError, UnsupportedFormat) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,9 +37,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, combinations, islice
+from itertools import combinations
 
-from conictopes.engine import Engine, engine_for
+from conictopes.engine import MAX_ENGINE_Q, Engine, engine_for
 from conictopes.geom import CriteriaReport, coset_criteria, edge_labels, pair_subgroups
 from conictopes.gf import Field
 from conictopes.grp import (
@@ -408,12 +408,6 @@ def _tally(eng: Engine, weighted):
     return counts, violations, samples
 
 
-def _sweep_chunk(field: Field, lo: int, hi: int):
-    eng = engine_for(field)
-    off = eng.off_conic_ids
-    return _tally(eng, ((tri, 1) for tri in _triple_range(off, lo, hi)))
-
-
 def _binomials(n: int):
     """C(i, 2) and C(i, 3) for i = 0..n, the terms of the colex rank of a triple."""
     return ([i * (i - 1) // 2 for i in range(n + 1)],
@@ -432,20 +426,6 @@ def _unrank(n: int, idx: int, b2, b3):
     r -= b3[z]
     y = bisect_right(b2, r) - 1
     return n - 1 - z, n - 1 - y, n - 1 - (r - b2[y])
-
-
-def _triple_range(off, lo: int, hi: int):
-    """islice(combinations(off, 3), lo, hi), starting at triple lo directly."""
-    n = len(off)
-    b2, b3 = _binomials(n)
-    if lo >= min(hi, b3[n]):
-        return iter(())
-    a, b, c = _unrank(n, lo, b2, b3)
-    x, y = off[a], off[b]
-    rest = chain(((x, y, z) for z in off[c:]),
-                 ((x,) + pair for pair in combinations(off[b + 1:], 2)),
-                 combinations(off[a + 1:], 3))
-    return islice(rest, hi - lo)
 
 
 def _point_orbits(eng: Engine, off):
@@ -550,8 +530,8 @@ def _sampled(off, total: int, sample: int, seed: int):
 
 
 def enumerate_triples(field: Field, mode: str = "full", sample: int | None = None,
-                      seed: int = 0, jobs: int = 1,
-                      budget: int = 20_000_000) -> ClassificationTable:
+                      seed: int = 0,
+                      budget: int = DEFAULT_CLOSURE_CAP) -> ClassificationTable:
     """Sweep involution triples and tabulate classes, groups and verdicts.
 
     full mode iterates all C(q^2, 3) triples; orbit-reps classifies one
@@ -559,13 +539,8 @@ def enumerate_triples(field: Field, mode: str = "full", sample: int | None = Non
     orbit, found from a point-stabilizer transversal without visiting the
     other triples (counts weighted by orbit size, so totals match full mode
     exactly); sample(N) draws N distinct triples with the seeded Mersenne
-    Twister PRNG of random.Random.  jobs > 1 fans the full mode out over
-    forked workers and is a ValueError in the other modes.
+    Twister PRNG of random.Random.
     """
-    from conictopes.engine import MAX_ENGINE_Q
-
-    if jobs > 1 and mode != "full":
-        raise ValueError(f"jobs > 1 applies to full mode only, not {mode!r}")
     if field.q > MAX_ENGINE_Q:
         raise BudgetExceeded(
             f"the sweep tables are limited to q <= {MAX_ENGINE_Q}, got q = {field.q}",
@@ -591,35 +566,15 @@ def enumerate_triples(field: Field, mode: str = "full", sample: int | None = Non
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if jobs > 1:
-        parts = _parallel_sweep(field, total, jobs)
-    else:
-        parts = [_tally(eng, weighted)]
-    counts: dict = {}
-    for part_counts, _, _ in parts:
-        for k, v in part_counts.items():
-            counts[k] = counts.get(k, 0) + v
-    samples = [s for _, _, part_samples in parts for s in part_samples][:10]
+    counts, violations, samples = _tally(eng, weighted)
     return ClassificationTable(p=field.p, n=field.n, q=field.q, mode=mode,
                                seed=seed_out, total=sum(counts.values()),
-                               counts=counts,
-                               main_violations=sum(v for _, v, _ in parts),
+                               counts=counts, main_violations=violations,
                                violation_samples=samples)
 
 
-def _parallel_sweep(field: Field, total: int, jobs: int):
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    bounds = [round(i * total / jobs) for i in range(jobs + 1)]
-    args = [(field, bounds[i], bounds[i + 1]) for i in range(jobs)]
-    with ctx.Pool(jobs) as pool:
-        return pool.starmap(_sweep_chunk, args)
-
-
 def verify_main(field: Field, mode: str = "full", sample: int | None = None,
-                seed: int = 0, jobs: int = 1,
-                budget: int = 20_000_000) -> ClassificationTable:
+                seed: int = 0,
+                budget: int = DEFAULT_CLOSURE_CAP) -> ClassificationTable:
     """Sweep and report violations of: hypertope iff SNSP triangle."""
-    return enumerate_triples(field, mode=mode, sample=sample, seed=seed, jobs=jobs,
-                             budget=budget)
+    return enumerate_triples(field, mode=mode, sample=sample, seed=seed, budget=budget)

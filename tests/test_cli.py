@@ -4,6 +4,8 @@ import hashlib
 import json
 import re
 
+import pytest
+
 from conictopes import cli
 
 
@@ -105,24 +107,12 @@ def test_experiment_psl_sample_mode_without_size_exit_2():
     assert out == ""
 
 
-def test_jobs_below_one_exit_2():
-    for jobs in ("0", "-1"):
-        code, out = run(["verify-main", "--p", "3", "--jobs", jobs])
-        assert code == 2
-        assert out == ""
-
-
-def test_jobs_outside_full_mode_exit_2(monkeypatch):
-    # the flag check fires before any sweep, so nothing forks
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a sweep was started")
-
-    monkeypatch.setattr(cli.triangles, "enumerate_triples", no_sweep)
-    for mode in (["--mode", "orbit-reps"], ["--mode", "sample", "--sample", "5"]):
-        for command in ("verify-main", "enumerate"):
-            code, out = run([command, "--p", "3", "--jobs", "2", *mode])
-            assert code == 2
-            assert out == ""
+def test_jobs_flag_is_rejected(capsys):
+    # full sweeps are serial, so there is no worker-count flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-main", "--p", "3", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_classify_zero_budget_exit_2():
@@ -226,6 +216,18 @@ def test_atomic_write(tmp_path):
     assert report["group"]["order"] == 60
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".conictopes-")]
     assert not leftovers
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    # a missing directory fails in mkstemp, an existing directory in os.replace
+    taken = tmp_path / "report.json"
+    taken.mkdir()
+    for out in (tmp_path / "missing" / "report.json", taken):
+        code, stdout = run(["verify-main", "--p", "3", "--out", str(out)])
+        assert code == 2
+        assert stdout == ""
+        assert "error: cannot write" in capsys.readouterr().err
+        assert not list(tmp_path.rglob(".conictopes-*"))
 
 
 def test_nonlinear_cli():

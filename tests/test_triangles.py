@@ -9,7 +9,7 @@ import pytest
 
 from helpers import field, plane
 
-from conictopes import cli, triangles
+from conictopes import cli
 from conictopes.engine import engine_for
 from conictopes.grp import closure
 from conictopes.perspectivity import in_psl, involution_from_center
@@ -27,7 +27,6 @@ from conictopes.triangles import (
     _id_class,
     _sampled,
     _sweep_triple,
-    _triple_range,
     classify_triangle,
     construct_nonlinear_pgl,
     construct_tangent_triangle,
@@ -190,16 +189,6 @@ def test_orbit_reps_matches_full_q7():
     assert reps.total == full.total == 18_424
 
 
-def test_jobs_outside_full_mode_is_a_value_error(monkeypatch):
-    def no_fork(*args):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(triangles, "_parallel_sweep", no_fork)
-    for mode, sample in (("orbit-reps", None), ("sample", 5)):
-        with pytest.raises(ValueError, match="full mode only"):
-            enumerate_triples(field(3), mode=mode, sample=sample, jobs=2)
-
-
 def test_sample_mode_deterministic_and_whole_space():
     full = enumerate_triples(field(3), mode="full")
     s1 = enumerate_triples(field(3), mode="sample", sample=84, seed=5)
@@ -208,13 +197,6 @@ def test_sample_mode_deterministic_and_whole_space():
     s3 = enumerate_triples(field(3), mode="sample", sample=20, seed=5)
     assert s2.counts == s3.counts
     assert s2.total == 20
-
-
-def test_parallel_sweep_matches_serial():
-    serial = enumerate_triples(field(5), mode="full", jobs=1)
-    parallel = enumerate_triples(field(5), mode="full", jobs=2)
-    assert serial.counts == parallel.counts
-    assert parallel.main_violations == 0
 
 
 def test_engine_matches_matrix_classification():
@@ -361,7 +343,3 @@ def test_unranked_triples_match_the_linear_walk_q5():
         # the draw sample mode makes, walked to the wanted indices
         wanted = sorted(random.Random(seed).sample(range(total), 40))
         assert [tri for tri, _ in _sampled(off, total, 40, seed)] == [every[i] for i in wanted]
-    bounds = [round(i * total / 3) for i in range(4)]  # the chunks of jobs=3
-    for lo, hi in zip(bounds, bounds[1:]):
-        assert list(_triple_range(off, lo, hi)) == every[lo:hi]
-    assert list(_triple_range(off, total, total + 1)) == []
