@@ -9,11 +9,17 @@ list the per-triple path reads: a verdict touches a few hundred entries, so
 plain indexing is the fast form.  The line through two points comes from
 one cross product, and incidence is read off those lines.  The Cayley table
 is read off the breadth-first (Schreier) tree: row x is row parent(x)
-permuted by a generator's left multiplication.
-H_i & (H_j * H_k) is a loop over H_i that keeps g when h*g lies in H_k for
-some h in H_j, and the closure of <alpha_0, alpha_1, alpha_2> walks the
-right cosets of <alpha_0, alpha_1> (a Schreier graph on cosets) instead of
-single elements, with a coset table built once per generator pair.
+permuted by a generator's left multiplication; inv_l holds each element's
+inverse, read off the 2x2 inverse (d, -b, -c, a).
+
+One right-coset table per verdict serves both the criteria and the closure.
+The closure of <alpha_0, alpha_1, alpha_2> walks the right cosets of
+H_2 = <alpha_0, alpha_1> (a Schreier graph on cosets) instead of single
+elements.  H_i & (H_j * H_k) reads the same table: H_2 is always one of the
+three subgroups, and membership in H_2 * H_k, H_j * H_2 or H_2 itself is a
+comparison of coset ids, so each intersection costs O(|H_i| + |H_j| + |H_k|)
+instead of O(|H_i| * |H_j|).  A walk that stays inside PSL(2,q), the unique
+subgroup of index 2 (Dickson), stops past |G|/4 elements once PSL is known.
 
 Everything here is an acceleration layer: the criteria evaluation is the
 same coset_criteria function the matrix path uses, handed table-backed
@@ -81,6 +87,9 @@ class Engine:
         self._tag_cache: dict[tuple[int, int, int], str] = {}
         # right cosets of the last subgroup closure_ids walked over
         self._cosets: tuple | None = None
+        # PSL(2,q)'s sorted ids and group_stats, from the first walk that closes it
+        self._psl_ids: list | None = None
+        self._psl_stats: tuple | None = None
 
     # -- plane tables -------------------------------------------------------
 
@@ -162,6 +171,12 @@ class Engine:
         if len(walk) != order:
             raise GeometryError(f"the generators give {len(walk)} elements, "
                                 f"not |PGL(2,{q})| = {order}")
+        mul_t, neg, inv = F.mul_t, F.neg_t, F.inv_t
+        inv_l = []
+        for a, b, c, d in walk:  # x^-1 is (d, -b, -c, a), scaled to lead with 1
+            s = mul_t[inv[d or neg[b]]]
+            inv_l.append(index[(s[d], s[neg[b]], s[neg[c]], s[a])])
+        self.inv_l = inv_l
         self.elements = [sym2(F, x) for x in walk]
         self.elt_index = {m: i for i, m in enumerate(self.elements)}
         if len(self.elt_index) != order:
@@ -220,29 +235,52 @@ class Engine:
         return data
 
     def sp_intersect(self, Hj: frozenset, Hk: frozenset, Hi: frozenset):
-        """H_i & (H_j * H_k), in the iteration order of H_i.
+        """H_i & (H_j * H_k), in the iteration order of H_i, off the cached coset table.
 
-        g = h*k with h in H_j and k in H_k iff h^-1 * g lies in H_k, and H_j
-        is closed under inverses, so g is kept when h * g lies in H_k for
-        some h in H_j.
+        Precondition: one of the three subgroups is the subgroup whose right
+        cosets closure_ids last tabled, as H_2 is in every flag-transitivity
+        check of a verdict that closes <alpha_0, alpha_1, alpha_2> first.
+        With S that subgroup and c(x) the coset S * x:
+          S = H_j: g lies in S * H_k iff c(g) = c(k) for some k in H_k;
+          S = H_k: g lies in H_j * S iff g^-1 lies in S * H_j, as H_j is
+            closed under inverses, so iff c(g^-1) = c(h) for some h in H_j;
+          S = H_i: h * k lies in S iff c(h) = c(k^-1), so the products of
+            those pairs make up H_i & (H_j * H_k).
+        Each case costs O(|H_i| + |H_j| + |H_k|) lookups, plus one product
+        per matching pair in the last.  Raises GeometryError when no
+        argument is the cached subgroup.
         """
-        rows = [self.mul_l[h] for h in Hj]
-        out = []
-        for g in Hi:
-            for row in rows:
-                if row[g] in Hk:
-                    out.append(g)
-                    break
-        return out
+        _, coset_of, _, sub = self._cosets or (None, None, None, None)
+        inv = self.inv_l
+        if Hj == sub:
+            hit = {coset_of[k] for k in Hk}
+            return [g for g in Hi if coset_of[g] in hit]
+        if Hk == sub:
+            hit = {coset_of[h] for h in Hj}
+            return [g for g in Hi if coset_of[inv[g]] in hit]
+        if Hi == sub:
+            by_coset: dict[int, list] = {}
+            for k in Hk:
+                by_coset.setdefault(coset_of[inv[k]], []).append(k)
+            mul = self.mul_l
+            found = set()
+            for h in Hj:
+                ks = by_coset.get(coset_of[h])
+                if ks:
+                    row = mul[h]
+                    found.update([row[k] for k in ks])
+            return [g for g in Hi if g in found]
+        raise GeometryError("sp_intersect needs the coset table of one of its "
+                            "subgroups; call closure_ids on it first")
 
     # -- closures and identification -------------------------------------------
 
     def _right_cosets(self, sub: tuple):
         """(coset id of each element, members of each coset) for the cosets sub*g.
 
-        Coset 0 is sub itself.  One slot caches the last subgroup asked for:
-        a sweep in combinations order asks for the same <alpha_0, alpha_1>
-        for every third point in a row.
+        Coset 0 is sub itself.  One slot caches the last subgroup asked for,
+        with its element set for sp_intersect: a sweep in combinations order
+        asks for the same <alpha_0, alpha_1> for every third point in a row.
         """
         slot = self._cosets
         if slot is not None and slot[0] == sub:
@@ -256,22 +294,33 @@ class Engine:
                 for x in members:
                     coset_of[x] = len(cosets)
                 cosets.append(members)
-        self._cosets = (sub, coset_of, cosets)
+        self._cosets = (sub, coset_of, cosets, frozenset(sub))
         return coset_of, cosets
 
     def closure_ids(self, seed, gens):
-        """Closure <gens> as a union of right cosets of seed, with a Lagrange early-out.
+        """Closure <gens> as a union of right cosets of seed, with Lagrange early exits.
 
         seed is a subgroup (a tuple of ids) contained in the generated
         subgroup.  Cosets seed*x are reached from seed itself by right
         multiplication with the generators; once more than half the full
         group is covered the subgroup is the whole group and None is
-        returned in place of the sorted id list.
+        returned in place of the sorted id list.  When every generator is
+        an involution whose centre has its psl_l flag set, the subgroup lies
+        in PSL(2,q), of index 2; once a complete walk has closed |G|/2
+        elements, PSL's sorted ids are recorded, and such a walk returns
+        them, without sorting, as soon as it covers more than |G|/4.
+        Returns (ids, order).
         """
         coset_of, cosets = self._right_cosets(seed)
         mul = self.mul_l
         size = len(seed)
         half = self.n_group // 2
+        centre, psl = self.center_pt_l, self.psl_l
+        psl_ids = self._psl_ids
+        if psl_ids is not None and all(centre[g] >= 0 and psl[centre[g]] for g in gens):
+            limit = half // 2
+        else:
+            psl_ids, limit = None, half
         seen = {0}
         reps = [0]
         count = size
@@ -282,16 +331,29 @@ class Engine:
                 c = coset_of[y]
                 if c not in seen:
                     count += size
-                    if count > half:
+                    if count > limit:
+                        if psl_ids is not None:
+                            return psl_ids, half
                         return None, self.n_group  # the whole group
                     seen.add(c)
                     reps.append(y)
-        return sorted(x for c in seen for x in cosets[c]), count
+        ids = sorted(x for c in seen for x in cosets[c])
+        if count == half and self._psl_ids is None:
+            # PSL(2,q) is the only subgroup of index 2 in PGL(2,q), q odd
+            ords = [self.orders_l[x] for x in ids]
+            self._psl_ids, self._psl_stats = ids, (half, ords.count(2), max(ords))
+        return ids, count
 
     def group_stats(self, ids):
-        """(order, number of involutions, largest element order); None is the whole group."""
+        """(order, number of involutions, largest element order) of a closure_ids list.
+
+        None is the whole group, and the recorded PSL list is PSL; both have
+        their statistics stored, so only other subgroups are counted.
+        """
         if ids is None:
             return self._full_stats
+        if ids is self._psl_ids:
+            return self._psl_stats
         ords = [self.orders_l[x] for x in ids]
         return len(ords), ords.count(2), max(ords)
 

@@ -377,11 +377,12 @@ def _sweep_triple(eng: Engine, tri):
     p12 = eng.pair(c1, c2)
     gens = (eng.inv_elt_l[c0], eng.inv_elt_l[c1], eng.inv_elt_l[c2])
     mul = eng.mul_l
+    # the closure tables the right cosets of H_2 = p01, which sp_intersect reads
+    ids, _ = eng.closure_ids(p01.elems, gens)
     criteria = coset_criteria(0, lambda x, y: mul[x][y], gens,
                               (p12.eset, p02.eset, p01.eset),
                               sp_intersect=eng.sp_intersect)
     cls, _ = _id_class(eng, tri, (p12, p02, p01))
-    ids, _ = eng.closure_ids(p01.elems, gens)
     glabel = eng.group_label(ids)
     psl = "".join(sorted("P" if eng.psl_l[c] else "N" for c in tri))
     hypertope = criteria.hypertope
@@ -439,7 +440,7 @@ def _point_orbits(eng: Engine, off):
     is the centralizer of alpha_P0, and s takes X to the center of
     s * alpha_X * s^-1.
     """
-    mul, inv_elt, center = eng.mul_l, eng.inv_elt_l, eng.center_pt_l
+    mul, inv_elt, center, inv = eng.mul_l, eng.inv_elt_l, eng.center_pt_l, eng.inv_l
     perms = eng.gen_point_perms
     inverses = []
     for perm in perms:
@@ -468,7 +469,7 @@ def _point_orbits(eng: Engine, off):
         for s in range(eng.n_group):
             row = mul[s]
             if row[a] == mul[a][s]:
-                s_inv = row.index(0)
+                s_inv = inv[s]
                 point_map = [-1] * eng.n_points
                 for X in off:
                     point_map[X] = center[mul[row[inv_elt[X]]][s_inv]]
@@ -493,7 +494,9 @@ def _orbit_reps(eng: Engine, off):
     triples for m of them through P0_k, an orbit k of N_k points and c
     points of each triple in orbit k.  Every point of orbit k or a later
     one is at least P0_k, so the representative is the smallest triple of
-    its orbit, and representatives come in sorted order.
+    its orbit, and representatives come in sorted order.  For the same
+    reason P0_k is the smallest point of every marked triple, and a mark is
+    the pair of its other two points in order.
     """
     orbits, orbit_of = _point_orbits(eng, off)
     for k, (P0, transversal, stabilizer) in enumerate(orbits):
@@ -505,12 +508,15 @@ def _orbit_reps(eng: Engine, off):
                 if (Q, R) in marked:
                     continue
                 tri = (P0, Q, R)
-                to_P0 = [transversal[X] for X in tri if orbit_of[X] == k]
+                # u takes X to P0 and s fixes P0, so the images of the other two mark
+                to_P0 = [(transversal[X], [Y for Y in tri if Y != X])
+                         for X in tri if orbit_of[X] == k]
                 through = set()
-                for u in to_P0:
-                    x, y, z = u[P0], u[Q], u[R]
+                for u, (Y, Z) in to_P0:
+                    y, z = u[Y], u[Z]
                     for s in stabilizer:
-                        through.add(tuple(sorted((s[x], s[y], s[z])))[1:])
+                        a, b = s[y], s[z]
+                        through.add((a, b) if a < b else (b, a))
                 marked.update(through)
                 size, rest = divmod(len(through) * n_k, len(to_P0))
                 if rest:

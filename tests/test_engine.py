@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from helpers import field, full_group, stabilizer_m
 
 import conictopes
-from conictopes.engine import engine_for, pgl2_generators
+from conictopes.engine import Engine, engine_for, pgl2_generators
 from conictopes.geom import coset_criteria
 from conictopes.grp import generate
 from conictopes.perspectivity import mat_mul, mat_order, pgl2_mul, sym2
+from conictopes.plane import GeometryError
 from conictopes.triangles import _orbit_reps, _sweep_triple
 
 FIELDS = ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1))
@@ -103,6 +104,78 @@ def test_coset_walk_and_sp_intersect_match_references(p, n, data):
                           sp_intersect=eng.sp_intersect)
     plain = coset_criteria(0, lambda x, y: mul[x][y], gens, Hs)
     assert fast == plain  # the four bits and every witness
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_inverse_table(p, n):
+    eng = engine_for(field(p, n))
+    mul, inv = eng.mul_l, eng.inv_l
+    assert len(inv) == eng.n_group
+    assert all(mul[x][inv[x]] == 0 for x in range(eng.n_group))
+
+
+@pytest.mark.parametrize("p,n", FIELDS[1:5])
+def test_sp_intersect_reads_the_coset_table_in_every_position(p, n):
+    # whichever pair subgroup closure_ids tabled, and wherever it sits among
+    # (H_j, H_k, H_i), sp_intersect is H_i & (H_j * H_k) in H_i's order; the
+    # other two arguments are also swapped for their rotation subgroups,
+    # whose rotations are not their own inverses
+    eng = engine_for(field(p, n))
+    mul = eng.mul_l
+    for (c0, c1, c2), _ in _orbit_reps(eng, eng.off_conic_ids):
+        pairs = (eng.pair(c1, c2), eng.pair(c0, c2), eng.pair(c0, c1))
+        Hs = [pd.eset for pd in pairs]
+        rots = [frozenset(pd.elems[:pd.order2]) for pd in pairs]
+        gens = (eng.inv_elt_l[c0], eng.inv_elt_l[c1], eng.inv_elt_l[c2])
+        products = {}
+        for t, seed in enumerate(pairs):
+            eng.closure_ids(seed.elems, gens)
+            for others in (Hs, rots):
+                for i, j, k in permutations(range(3)):
+                    Si, Sj, Sk = (Hs[x] if x == t else others[x] for x in (i, j, k))
+                    prod = products.get((Sj, Sk))
+                    if prod is None:
+                        prod = products[Sj, Sk] = {mul[h][x] for h in Sj for x in Sk}
+                    assert eng.sp_intersect(Sj, Sk, Si) == [g for g in Si if g in prod]
+
+
+def test_sp_intersect_needs_a_tabled_subgroup():
+    eng = Engine(field(5))
+    off = eng.off_conic_ids
+    c0, c1, c2 = off[:3]
+    Hs = (eng.pair(c1, c2).eset, eng.pair(c0, c2).eset, eng.pair(c0, c1).eset)
+    with pytest.raises(GeometryError):
+        eng.sp_intersect(Hs[1], Hs[2], Hs[0])  # nothing tabled yet
+    Q = next(Q for Q in off[3:] if eng.pair(c0, Q).eset not in Hs)
+    eng.closure_ids(eng.pair(c0, Q).elems, (eng.inv_elt_l[c0], eng.inv_elt_l[Q]))
+    with pytest.raises(GeometryError):
+        eng.sp_intersect(Hs[1], Hs[2], Hs[0])
+    gens = (eng.inv_elt_l[c0], eng.inv_elt_l[c1], eng.inv_elt_l[c2])
+    eng.closure_ids(eng.pair(c0, c1).elems, gens)
+    eng.sp_intersect(Hs[1], Hs[2], Hs[0])
+
+
+@pytest.mark.parametrize("p,n", FIELDS[1:])
+def test_psl_closures_before_and_after_psl_is_recorded(p, n):
+    # a fresh engine walks PSL(2,q) once in full, then exits past |G|/4
+    eng = Engine(field(p, n))
+    mul = eng.mul_l
+    reps = [tri for tri, _ in _orbit_reps(eng, eng.off_conic_ids)
+            if all(eng.psl_l[c] for c in tri)]
+    for recorded in (False, True):
+        assert (eng._psl_ids is not None) == recorded
+        hits = 0
+        for c0, c1, c2 in reps:
+            gens = (eng.inv_elt_l[c0], eng.inv_elt_l[c1], eng.inv_elt_l[c2])
+            ids, count = eng.closure_ids(eng.pair(c0, c1).elems, gens)
+            full = _bfs_closure(mul, gens)
+            assert ids == sorted(full) and count == len(full)
+            orders = [eng.orders_l[x] for x in full]
+            assert eng.group_stats(ids) == (count, orders.count(2), max(orders))
+            assert eng.group_label(ids) == eng.identify_ids(ids).label
+            hits += ids is eng._psl_ids
+        assert len(eng._psl_ids) == eng.n_group // 2
+        assert hits  # some rep generates PSL; in the second pass, by the early exit
 
 
 @pytest.mark.parametrize("p,n", FIELDS[1:5])

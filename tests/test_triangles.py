@@ -18,7 +18,6 @@ from conictopes.triangles import (
     COLLINEAR,
     NON_PROPER_OK,
     NON_PROPER_VIOLATING,
-    PROPER_NOT_SNSP,
     PROPER_SNSP,
     SELF_POLAR,
     CollinearCenters,
@@ -32,7 +31,6 @@ from conictopes.triangles import (
     construct_tangent_triangle,
     enumerate_triples,
     not_psl_sufficient,
-    verify_main,
 )
 
 
