@@ -3,14 +3,17 @@
 The enumeration core works on integer ids throughout: points and lines are
 indexed by their position in the lexicographic canonical order, group
 elements by discovery order of a breadth-first closure of PGL(2,q) on
-canonical 2x2 tuples; elements lists their sym2 images, the conic
-stabilizer's canonical matrices.  Each table is built once, as the Python
-list the per-triple path reads: a verdict touches a few hundred entries, so
-plain indexing is the fast form.  The line through two points comes from
+canonical 2x2 tuples, which elements lists.  Each table is built once, as
+the Python list the per-triple path reads: a verdict touches a few hundred
+entries, so plain indexing is the fast form.  The line through two points comes from
 one cross product, and incidence is read off those lines.  The Cayley table
 is read off the breadth-first (Schreier) tree: row x is row parent(x)
 permuted by a generator's left multiplication; inv_l holds each element's
-inverse, read off the 2x2 inverse (d, -b, -c, a).
+inverse, read off the 2x2 inverse (d, -b, -c, a).  The one step into the
+plane is center_axis on the sym2 image of each involution, which pairs the
+involution ids with the off-conic point ids; an element then moves a point
+by conjugating that point's involution (point_map), so the engine keeps no
+3x3 matrices.
 
 One right-coset table per verdict serves both the criteria and the closure.
 The closure of <alpha_0, alpha_1, alpha_2> walks the right cosets of
@@ -35,9 +38,9 @@ from operator import itemgetter
 from conictopes.gf import Field
 from conictopes.grp import GroupId, element_orders, identify, powers
 from conictopes.perspectivity import (
-    involution_from_center,
+    center_axis,
     mat_mul,  # unused here; kept as engine.mat_mul, a name perfbench's tracer wraps
-    mat_vec,
+    mat_vec,  # unused here; kept as engine.mat_vec, a name perfbench's tracer wraps
     pgl2_mul,
     sym2,
 )
@@ -133,9 +136,6 @@ class Engine:
                 raise GeometryError(f"point {pts[i]} lies on {hits} tangents")
             self.psl_l[i] = hits == psl_tangents
 
-        self.gen_point_perms = [[index[norm(mat_vec(F, g, P))] for P in pts]
-                                for g in conic_stabilizer_generators(F)]
-
     # -- group tables ---------------------------------------------------------
 
     def _build_group_tables(self):
@@ -145,8 +145,7 @@ class Engine:
         g * x = (g * parent[x]) * gens[gen_of[x]] gives each generator's left
         multiplication, and x * y = parent[x] * (gens[gen_of[x]] * y) gives
         row x of the Cayley table as row parent[x] read at the ids g * y.
-        sym2 is a homomorphism, so the walk visits the matrices in the order
-        a walk on sym2 of the generators would.
+        gen_ids holds the generators' ids, the identity's row of right.
         """
         F, q = self.field, self.q
         gens = pgl2_generators(F)
@@ -177,11 +176,8 @@ class Engine:
             s = mul_t[inv[d or neg[b]]]
             inv_l.append(index[(s[d], s[neg[b]], s[neg[c]], s[a])])
         self.inv_l = inv_l
-        self.elements = [sym2(F, x) for x in walk]
-        self.elt_index = {m: i for i, m in enumerate(self.elements)}
-        if len(self.elt_index) != order:
-            raise GeometryError(f"sym2 gives {len(self.elt_index)} distinct matrices, "
-                                f"not {order}")
+        self.elements = walk
+        self.gen_ids = right[0]
         self.n_group = order
 
         left = []  # left[g][y] = id of gens[g] * y
@@ -199,19 +195,39 @@ class Engine:
         self._full_stats = (order, orders.count(2), max(orders))
 
     def _build_involution_tables(self):
+        """center_pt_l: the centre's point id of each involution, -1 for other elements.
+
+        inv_elt_l inverts it on the off-conic points, and gen_point_perms
+        holds point_map of each generator.
+        """
+        F, pl = self.field, self.plane
+        index = pl.point_index
         inv_elt = [-1] * self.n_points
         center_pt = [-1] * self.n_group
-        for pid in self.off_conic_ids:
-            a = involution_from_center(self.plane, self.plane.points[pid])
-            eid = self.elt_index[a.matrix]
-            inv_elt[pid] = eid
-            center_pt[eid] = pid
+        for x, o in enumerate(self.orders_l):
+            if o == 2:
+                pid = index[center_axis(pl, sym2(F, self.elements[x]))[0]]
+                center_pt[x] = pid
+                inv_elt[pid] = x
         if self._full_stats[1] != self.q**2:
             raise GeometryError(f"PGL(2,{self.q}) must have q^2 involutions")
-        if self.n_group - center_pt.count(-1) != self.q**2:
+        if [i for i, x in enumerate(inv_elt) if x >= 0] != self.off_conic_ids:
             raise GeometryError("off-conic points and involutions must correspond")
         self.inv_elt_l = inv_elt
         self.center_pt_l = center_pt
+        self.gen_point_perms = [self.point_map(g) for g in self.gen_ids]
+
+    def point_map(self, g) -> list:
+        """Element g on the off-conic point ids, with -1 at conic points.
+
+        g moves the centre of alpha_X to the centre of g * alpha_X * g^-1.
+        """
+        mul, centre, inv_elt = self.mul_l, self.center_pt_l, self.inv_elt_l
+        row, g_inv = mul[g], self.inv_l[g]
+        image = [-1] * self.n_points
+        for X in self.off_conic_ids:
+            image[X] = centre[mul[row[inv_elt[X]]][g_inv]]
+        return image
 
     # -- cached dihedral pairs -------------------------------------------------
 

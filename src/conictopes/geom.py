@@ -65,8 +65,9 @@ def coset_criteria(e, mul, gens, subgroups, sp_intersect=None) -> CriteriaReport
     subgroups = (H0, H1, H2) the closures <a_j, a_k> as sets.  The optional
     sp_intersect(Hj, Hk, Hi) must return H_i & (H_j * H_k) and exists so a
     table-driven caller can replace the one expensive step, the full
-    product set, by a loop over H_i that stops at the first h in H_j with
-    h * g in H_k.
+    product set, by reads of a right-coset table that the caller built
+    beforehand; the engine builds it for H_2 by running closure_ids on H_2
+    before the criteria.
     """
     Hs = [frozenset(S) for S in subgroups]
     pairs = {(i, j): Hs[i] & Hs[j] for i in range(3) for j in range(3) if i != j}

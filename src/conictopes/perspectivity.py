@@ -187,88 +187,25 @@ def involution_from_center(plane: Plane, P) -> Involution:
     return Involution(matrix=m, center=P, axis=plane.polar(P))
 
 
-def _rank3(field, m) -> int:
-    """Rank of a 3x3 matrix over the field by Gaussian elimination."""
-    rows = [list(m[0:3]), list(m[3:6]), list(m[6:9])]
-    rank = 0
-    col = 0
-    while rank < 3 and col < 3:
-        pivot = None
-        for r in range(rank, 3):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv_t[rows[rank][col]]
-        rows[rank] = [field.mul_t[inv][v] for v in rows[rank]]
-        for r in range(3):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [field.sub(rows[r][c], field.mul_t[f][rows[rank][c]])
-                           for c in range(3)]
-        rank += 1
-        col += 1
-    return rank
-
-
 def center_axis(plane: Plane, m) -> tuple[tuple, tuple]:
     """Center and axis of an order-2 projectivity fixing the conic.
 
-    The canonical matrix satisfies m^2 = c*I; rescaling by a square root of c
-    gives an exactly involutory representative whose -1 eigenspace is the
-    center (dimension 1) and whose +1 eigenspace is the axis (dimension 2),
-    or the other way around depending on the chosen root.
+    In odd characteristic every involution of PG(2,q) is a harmonic
+    homology: m has one eigenvalue u on the axis (a plane of vectors) and
+    -u on the center, so tr(m) = u + u - u = u and m - tr(m)*I has rank 1.
+    Its columns span the center and its rows are multiples of the axis.
     """
     F = plane.field
-    m2 = mat_mul(F, m, m)
-    # m2 must be canonical identity, i.e. m squares to a scalar
-    if m2 != IDENTITY:
-        raise NotAnInvolution("matrix does not square to a scalar multiple of I")
     if m == IDENTITY:
         raise NotAnInvolution("identity has no center/axis")
-    # recover the scalar c of the uncanonicalized square: m2_raw = c*I with
-    # c = (m @ m)[0][0] computed directly
-    mul = F.mul_t
-    add = F.add
-    c = add(add(mul[m[0]][m[0]], mul[m[1]][m[3]]), mul[m[2]][m[6]])
-    s = next((x for x in range(1, F.q) if mul[x][x] == c), None)
-    if s is None:
-        raise NotAnInvolution("square of the canonical matrix is a non-square scalar")
-    inv_s = F.inv_t[s]
-    n = tuple(mul[inv_s][v] for v in m)  # n*n = I exactly
-    n_minus = tuple(F.sub(v, 1 if i % 4 == 0 else 0) for i, v in enumerate(n))
-    n_plus = tuple(add(v, 1 if i % 4 == 0 else 0) for i, v in enumerate(n))
-    if _rank3(F, n_minus) == 1:
-        axis_side, center_side = n_minus, n_plus
-    elif _rank3(F, n_plus) == 1:
-        axis_side, center_side = n_plus, n_minus
-    else:
-        raise NotAnInvolution("eigenspace dimensions are not 1 and 2")
-    axis_row = next(axis_side[3 * r:3 * r + 3] for r in range(3)
-                    if any(axis_side[3 * r:3 * r + 3]))
-    axis = plane.normalize(axis_row)
-    # kernel of the rank-2 side: cross product of two independent rows
-    rows = [center_side[0:3], center_side[3:6], center_side[6:9]]
-    rows = [r for r in rows if any(r)]
-    center = None
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            sub = F.sub
-            r1, r2 = rows[i], rows[j]
-            v = (sub(mul[r1[1]][r2[2]], mul[r1[2]][r2[1]]),
-                 sub(mul[r1[2]][r2[0]], mul[r1[0]][r2[2]]),
-                 sub(mul[r1[0]][r2[1]], mul[r1[1]][r2[0]]))
-            if any(v):
-                center = plane.normalize(v)
-                break
-        if center:
-            break
-    if center is None:
-        raise NotAnInvolution("could not extract a 1-dimensional center eigenspace")
-    return center, axis
+    if mat_mul(F, m, m) != IDENTITY:
+        raise NotAnInvolution("matrix does not square to a scalar multiple of I")
+    add = F.add_t
+    neg_c = F.neg_t[add[add[m[0]][m[4]]][m[8]]]
+    n = tuple(add[v][neg_c] if i % 4 == 0 else v for i, v in enumerate(m))
+    center = next(col for col in (n[0::3], n[1::3], n[2::3]) if any(col))
+    axis = next(row for row in (n[0:3], n[3:6], n[6:9]) if any(row))
+    return plane.normalize(center), plane.normalize(axis)
 
 
 def product_order(field, a: Involution, b: Involution) -> int:

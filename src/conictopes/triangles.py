@@ -435,18 +435,18 @@ def _point_orbits(eng: Engine, off):
     Orbits are found by walking the generators' point permutations from each
     unseen point of off, so they come in the order of their smallest points
     P0.  Each orbit is (P0, transversal, stabilizer): transversal maps each X
-    of the orbit to a point map taking X to P0, read off the Schreier tree of
-    the walk, and stabilizer holds Stab(P0) as point maps on off.  Stab(P0)
-    is the centralizer of alpha_P0, and s takes X to the center of
-    s * alpha_X * s^-1.
+    of the orbit to a point map on off taking X to P0, read off the Schreier
+    tree of the walk, and stabilizer holds Stab(P0) as point maps on off.
+    Stab(P0) is the centralizer of alpha_P0.  No entry at a conic point is
+    read: the engine's point maps hold -1 there.
     """
-    mul, inv_elt, center, inv = eng.mul_l, eng.inv_elt_l, eng.center_pt_l, eng.inv_l
+    mul = eng.mul_l
     perms = eng.gen_point_perms
     inverses = []
     for perm in perms:
-        inverse = [0] * len(perm)
-        for x, y in enumerate(perm):
-            inverse[y] = x
+        inverse = [-1] * eng.n_points
+        for x in off:
+            inverse[perm[x]] = x
         inverses.append(inverse)
     orbits = []
     orbit_of = [-1] * eng.n_points
@@ -460,20 +460,16 @@ def _point_orbits(eng: Engine, off):
             for perm, inverse in zip(perms, inverses):
                 X = perm[Y]
                 if X not in transversal:
-                    transversal[X] = [to_P0[z] for z in inverse]
+                    point_map = [-1] * eng.n_points
+                    for z in off:
+                        point_map[z] = to_P0[inverse[z]]
+                    transversal[X] = point_map
                     walk.append(X)
         for X in walk:
             orbit_of[X] = len(orbits)
-        a = inv_elt[P0]
-        stabilizer = []
-        for s in range(eng.n_group):
-            row = mul[s]
-            if row[a] == mul[a][s]:
-                s_inv = inv[s]
-                point_map = [-1] * eng.n_points
-                for X in off:
-                    point_map[X] = center[mul[row[inv_elt[X]]][s_inv]]
-                stabilizer.append(point_map)
+        a = eng.inv_elt_l[P0]
+        stabilizer = [eng.point_map(s) for s in range(eng.n_group)
+                      if mul[s][a] == mul[a][s]]
         if len(stabilizer) * len(walk) != eng.n_group:
             raise GeometryError(f"|Stab(P0)| = {len(stabilizer)} times the orbit size "
                                 f"{len(walk)} is not |G| = {eng.n_group}")

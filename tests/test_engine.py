@@ -13,10 +13,22 @@ from hypothesis import strategies as st
 from helpers import field, full_group, stabilizer_m
 
 import conictopes
-from conictopes.engine import Engine, engine_for, pgl2_generators
+from conictopes.engine import (
+    Engine,
+    conic_stabilizer_generators,
+    engine_for,
+    pgl2_generators,
+)
 from conictopes.geom import coset_criteria
 from conictopes.grp import generate
-from conictopes.perspectivity import mat_mul, mat_order, pgl2_mul, sym2
+from conictopes.perspectivity import (
+    involution_from_center,
+    mat_mul,
+    mat_order,
+    mat_vec,
+    pgl2_mul,
+    sym2,
+)
 from conictopes.plane import GeometryError
 from conictopes.triangles import _orbit_reps, _sweep_triple
 
@@ -77,7 +89,27 @@ def test_sym2_image_is_the_conic_stabilizer(p, n):
     image = [sym2(F, x) for x in walk]
     assert image == [stabilizer_m(F, *x) for x in walk]
     assert set(image) == full_group(p, n).eset
-    assert engine_for(F).elements == list(full_group(p, n).elements)
+    assert [sym2(F, x) for x in engine_for(F).elements] == list(full_group(p, n).elements)
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_involution_and_point_tables_match_references(p, n):
+    # the engine reads centres off center_axis and moves points by
+    # conjugation; pin both to the reflection formula and to 3x3 mat_vec
+    F = field(p, n)
+    eng = engine_for(F)
+    pl = eng.plane
+    pts, index = pl.points, pl.point_index
+    for P in eng.off_conic_ids:
+        x = eng.inv_elt_l[P]
+        assert sym2(F, eng.elements[x]) == involution_from_center(pl, pts[P]).matrix
+        assert eng.center_pt_l[x] == P
+    assert sum(c >= 0 for c in eng.center_pt_l) == len(eng.off_conic_ids)
+    G3 = conic_stabilizer_generators(F)
+    assert len(eng.gen_point_perms) == len(G3)
+    for perm, g in zip(eng.gen_point_perms, G3):
+        for X in eng.off_conic_ids:
+            assert perm[X] == index[pl.normalize(mat_vec(F, g, pts[X]))]
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -214,12 +246,14 @@ def test_tables_match_their_definitions(p, n):
         assert eng.line_pts_l[j] == {i for i, P in enumerate(pts) if pl.incident(P, L)}
 
     elts = eng.elements
-    assert eng.orders_l == [mat_order(F, x) for x in elts]
+    elt_index = {x: i for i, x in enumerate(elts)}
+    assert len(elt_index) == eng.n_group
+    assert eng.orders_l == [mat_order(F, sym2(F, x)) for x in elts]
     pairs = [(x, y) for x in range(eng.n_group) for y in range(eng.n_group)]
     if F.q > 5:
         pairs = random.Random(F.q).sample(pairs, 2000)
     for x, y in pairs:
-        assert eng.mul_l[x][y] == eng.elt_index[mat_mul(F, elts[x], elts[y])]
+        assert eng.mul_l[x][y] == elt_index[pgl2_mul(F, elts[x], elts[y])]
 
 
 @pytest.mark.parametrize("p,n", FIELDS[:5])

@@ -102,7 +102,9 @@ def test_center_axis_inverts_involution_from_center(data):
                                       (17, 1), (19, 1), (23, 1), (5, 2), (3, 3))))
     pl = plane(p, n)
     P = data.draw(st.sampled_from(pl.off_conic_points))
-    assert center_axis(pl, involution_from_center(pl, P).matrix)[0] == P
+    center, axis = center_axis(pl, involution_from_center(pl, P).matrix)
+    assert center == P
+    assert axis == pl.polar(P)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
